@@ -88,8 +88,9 @@ durability-smoke:
 
 # Benchmarks HEAD against its merge base and fails on a >15% median ns/op
 # regression in the tier-1 benchmarks (BenchmarkSnapshotQuery,
-# BenchmarkSerialize; BenchmarkAggregateCompute is watched once both sides
-# have it). benchstat renders the comparison when installed; cmd/benchgate
-# decides the verdict either way.
+# BenchmarkSiteQueryMessage (the site query handler end to end),
+# BenchmarkSerialize, and the aggregate, replication and WAL benchmarks once
+# both sides have them). benchstat renders the comparison when installed;
+# cmd/benchgate decides the verdict either way.
 perf-gate:
 	./scripts/perf_gate.sh

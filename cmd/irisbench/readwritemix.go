@@ -12,18 +12,13 @@ import (
 // runReadWriteMix measures how much a concurrent sensor-update stream costs
 // the query path. It runs the raw engine (no simulated latency or synthetic
 // service times) with several CPU slots per site, so the only thing that
-// can slow queries down is synchronization against writers:
-//
-//   - snapshot mode (the default engine): queries read an immutable
-//     copy-on-write snapshot acquired with one atomic load, so the update
-//     stream should cost them almost nothing;
-//   - coarse mode (site.Config.CoarseLocking): the pre-snapshot
-//     reader-writer lock is reinstated and every update blocks the whole
-//     query path.
+// can slow queries down is synchronization against writers. Queries read an
+// immutable copy-on-write snapshot acquired with one atomic load, so the
+// update stream should cost them almost nothing.
 //
 // Results are printed and also written to BENCH_PR3.json for machines.
 func runReadWriteMix() {
-	header("Read/write mix — snapshot queries vs coarse locking (raw engine)")
+	header("Read/write mix — snapshot queries under a concurrent update stream (raw engine)")
 
 	type modeResult struct {
 		Mode              string  `json:"mode"`
@@ -47,11 +42,10 @@ func runReadWriteMix() {
 	const cpuSlots = 8
 	const updateRate = 2000.0
 
-	mkCluster := func(coarse bool) *cluster.Cluster {
+	mkCluster := func() *cluster.Cluster {
 		c, err := cluster.New(cluster.Hierarchical, cluster.Config{
-			DB:            workload.PaperSmall(),
-			CPUSlots:      cpuSlots,
-			CoarseLocking: coarse,
+			DB:       workload.PaperSmall(),
+			CPUSlots: cpuSlots,
 		})
 		fatal(err)
 		return c
@@ -63,15 +57,15 @@ func runReadWriteMix() {
 		}
 		return t
 	}
-	runMode := func(name string, coarse bool) modeResult {
+	runMode := func(name string) modeResult {
 		// Read-only arm.
-		c := mkCluster(coarse)
+		c := mkCluster()
 		ro := c.RunLoad(cluster.LoadOpts{
 			Clients: *clients, Duration: *durFlag, Mix: workload.QW1, HitRatio: -1,
 		})
 		c.Close()
 		// Mixed arm: same query load with a background update stream.
-		c = mkCluster(coarse)
+		c = mkCluster()
 		before := sumUpdates(c)
 		mixed := c.RunLoad(cluster.LoadOpts{
 			Clients: *clients, Duration: *durFlag, Mix: workload.QW1, HitRatio: -1,
@@ -100,18 +94,11 @@ func runReadWriteMix() {
 	}
 	fmt.Printf("%-10s %14s %12s %14s %12s\n",
 		"mode", "read-only q/s", "mixed q/s", "mixed/ro", "updates/s")
-	for _, m := range []struct {
-		name   string
-		coarse bool
-	}{{"coarse", true}, {"snapshot", false}} {
-		r := runMode(m.name, m.coarse)
-		rep.Modes = append(rep.Modes, r)
-		fmt.Printf("%-10s %14.1f %12.1f %13.2f%% %12.1f\n",
-			r.Mode, r.ReadOnlyQPS, r.MixedQPS, 100*r.MixedOverReadOnly, r.UpdatesPerSec)
-		if m.name == "snapshot" {
-			rep.Pass = r.MixedOverReadOnly >= 0.8
-		}
-	}
+	r := runMode("snapshot")
+	rep.Modes = append(rep.Modes, r)
+	fmt.Printf("%-10s %14.1f %12.1f %13.2f%% %12.1f\n",
+		r.Mode, r.ReadOnlyQPS, r.MixedQPS, 100*r.MixedOverReadOnly, r.UpdatesPerSec)
+	rep.Pass = r.MixedOverReadOnly >= 0.8
 	fmt.Printf("acceptance (snapshot mixed >= 80%% of read-only): pass=%v\n", rep.Pass)
 
 	buf, err := json.MarshalIndent(rep, "", "  ")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,5 +258,88 @@ func TestAggregatePartitionYieldsPartialAnswer(t *testing.T) {
 	}
 	if got.State.Count == 0 {
 		t.Fatal("partial aggregate carries no data from the healthy neighborhood")
+	}
+}
+
+// TestAggregateSubrequestsBatchPerOwner: aggregate subrequests go through
+// the same dispatcher as raw subqueries, so a city-level aggregate whose
+// neighborhoods share one owner ships them as one KindBatch message.
+func TestAggregateSubrequestsBatchPerOwner(t *testing.T) {
+	c, err := New(Hierarchical, Config{DB: tinyDB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Put both of city 0's neighborhoods on one site before any query, so
+	// no DNS cache still points at the old owner.
+	if err := c.Sites[NBSiteName(0, 1)].Delegate(c.DB.NeighborhoodPath(0, 1), NBSiteName(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	fe := c.NewFrontend()
+	city := c.Sites[CitySiteName(0)]
+	inner := c.DB.CityPath(0).String() + "/neighborhood/block/parkingSpace/price"
+	got, err := fe.QueryAggregate("count(" + inner + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if city.Metrics.AggregatePushdowns.Value() == 0 {
+		t.Fatal("city-level count did not take the pushdown path")
+	}
+	if city.Metrics.Batches.Value() != 1 {
+		t.Fatalf("city site sent %d batches, want 1 for two neighborhoods on one owner", city.Metrics.Batches.Value())
+	}
+	subs, rpcs := city.Metrics.Subqueries.Value(), city.Metrics.SubqueryRPCs.Value()
+	if subs < 2 || rpcs >= subs {
+		t.Fatalf("Subqueries=%d SubqueryRPCs=%d: batching saved no messages", subs, rpcs)
+	}
+	if want := rawAggregate(t, fe, inner); got.State != want {
+		t.Fatalf("batched count state = %+v, want the raw fold %+v", got.State, want)
+	}
+}
+
+// TestAggregateSubrequestsCoalesce: concurrent identical aggregate queries
+// at a caching site share in-flight subrequests, and every answer still
+// equals the raw fold.
+func TestAggregateSubrequestsCoalesce(t *testing.T) {
+	c, err := New(Hierarchical, Config{DB: tinyDB(), Caching: true, Latency: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fe := c.NewFrontend()
+	inner := c.DB.CityPath(0).String() + "/neighborhood/block/parkingSpace/price"
+	const n = 8
+	answers := make([]*service.AggregateAnswer, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers[i], errs[i] = fe.QueryAggregate("sum(" + inner + ")")
+		}(i)
+	}
+	wg.Wait()
+	var coalesced, fallbacks int64
+	for _, s := range c.Sites {
+		coalesced += s.Metrics.Coalesced.Value()
+		fallbacks += s.Metrics.AggregateFallbacks.Value()
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d aggregates fell back to raw gather; the test needs pushdown subrequests", fallbacks)
+	}
+	if coalesced == 0 {
+		t.Fatal("concurrent identical aggregates did not coalesce any subrequest")
+	}
+	// The raw fold runs last: its gather would warm the raw caches the
+	// concurrent aggregates must miss.
+	want := rawAggregate(t, fe, inner)
+	for i := range answers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if answers[i].State != want || answers[i].Partial() {
+			t.Fatalf("answer %d = %+v, want the raw fold %+v", i, answers[i], want)
+		}
 	}
 }

@@ -86,10 +86,6 @@ type Config struct {
 	// read-write-mix experiment raises it to expose lock contention rather
 	// than CPU-slot contention.
 	CPUSlots int
-	// CoarseLocking reinstates the pre-snapshot reader-writer lock around
-	// query evaluation and store writes at every site — the "before" arm
-	// of the read-write-mix benchmark. See site.Config.CoarseLocking.
-	CoarseLocking bool
 	// QueryWork, PerNodeWork and UpdateWork are the synthetic service-time
 	// model of the paper's heavier XML backend: a query evaluation holds a
 	// site's CPU slot for QueryWork + PerNodeWork x (result nodes); an
@@ -250,7 +246,6 @@ func (c *Cluster) siteConfig(name string) site.Config {
 		CacheBypass:       cfg.CacheBypass,
 		NaivePlans:        cfg.NaivePlans,
 		CPUSlots:          cfg.CPUSlots,
-		CoarseLocking:     cfg.CoarseLocking,
 		QueryWork:         cfg.QueryWork,
 		PerNodeWork:       cfg.PerNodeWork,
 		UpdateWork:        cfg.UpdateWork,

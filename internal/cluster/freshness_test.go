@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"context"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"irisnet/internal/trace"
+	"irisnet/internal/xmldb"
 )
 
 // TestQueryFreshnessEndToEnd: a cold query through the hierarchy ledgers
@@ -81,4 +85,68 @@ func TestQueryFreshnessEndToEnd(t *testing.T) {
 	if fr := trace.AggregateFreshness(spanOff); fr != nil {
 		t.Fatalf("ledger disabled but aggregate is %+v", fr)
 	}
+}
+
+// TestStaleCachedCopyIsRefetched: a cached copy that fails its freshness
+// predicate must be re-fetched from the owner even when its stale data
+// would also fail a data predicate. The root caches a block while space 1
+// is unavailable; the space then becomes available, and once the copy is
+// older than the tolerance the root's answer must equal the owner's.
+func TestStaleCachedCopyIsRefetched(t *testing.T) {
+	var mu sync.Mutex
+	now := 1000.0
+	clock := func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	c, err := New(Hierarchical, Config{Caching: true, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root := c.NewFrontend()
+	root.ForceEntry = RootSiteName
+	owner := c.NewFrontend()
+	q := c.DB.BlockQuery(0, 0, 0) + "[@ts >= now() - 5]"
+
+	space := c.DB.SpacePaths[0]
+	if !c.DB.BlockPaths[0].IsPrefixOf(space) {
+		t.Fatalf("space %s is not in the queried block %s", space, c.DB.BlockPaths[0])
+	}
+	if err := owner.Update(space, map[string]string{"available": "no"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Query(q); err != nil { // the root caches the block
+		t.Fatal(err)
+	}
+	if err := owner.Update(space, map[string]string{"available": "yes"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	now += 10
+	mu.Unlock()
+
+	want, err := owner.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := root.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon(got) != canon(want) {
+		t.Fatalf("root answered from a stale cached copy: %d nodes, owner has %d\nroot:  %s\nowner: %s",
+			len(got), len(want), canon(got), canon(want))
+	}
+}
+
+// canon renders an answer node set order-independently.
+func canon(ns []*xmldb.Node) string {
+	out := make([]string, len(ns))
+	for i, n := range ns {
+		out[i] = n.Canonical()
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
 }

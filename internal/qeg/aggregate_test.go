@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"irisnet/internal/fragment"
@@ -230,7 +231,7 @@ func TestGatherTruncationReturnsPartialAnswer(t *testing.T) {
 	// Oakland holds a brand-new remote block stub, so each evaluation round
 	// discovers a fresh gather-point target.
 	gen := 0
-	fetch := func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+	fetch := fetchOne(func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
 		gen++
 		dd := doc(t)
 		nb := xmldb.FindByIDPath(dd, idpath(t, oakland))
@@ -246,15 +247,18 @@ func TestGatherTruncationReturnsPartialAnswer(t *testing.T) {
 			return nil, err
 		}
 		return frs["answer"].Root, nil
-	}
+	})
 
-	root, err := Gather(context.Background(), stores["main"], plans, fetch, Options{})
+	g, err := Gather(context.Background(), stores["main"], plans, fetch, Options{})
 	var trunc *TruncatedError
 	if !errors.As(err, &trunc) {
 		t.Fatalf("Gather error = %v, want TruncatedError", err)
 	}
-	if root == nil {
+	if g.Answer == nil {
 		t.Fatal("truncated gather must still return the partial answer")
+	}
+	if !g.Truncated {
+		t.Fatal("truncated gather must set Truncated")
 	}
 	if trunc.Query != plans[0].Source {
 		t.Fatalf("TruncatedError.Query = %q, want the offending query %q", trunc.Query, plans[0].Source)
@@ -264,5 +268,10 @@ func TestGatherTruncationReturnsPartialAnswer(t *testing.T) {
 	}
 	if len(trunc.Pending) == 0 {
 		t.Fatal("TruncatedError.Pending should list the outstanding subqueries")
+	}
+	for _, sq := range trunc.Pending {
+		if !slices.Contains(g.Unreachable, sq.Target.Key()) {
+			t.Fatalf("pending target %s not listed unreachable in %v", sq.Target, g.Unreachable)
+		}
 	}
 }

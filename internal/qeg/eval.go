@@ -185,6 +185,21 @@ func (w *walker) tryMatch(c *xmldb.Node, p xmldb.IDPath, i int) (bool, error) {
 	}
 
 	// status = owned or complete: full local information available.
+	// Query-based consistency comes first: a cached copy that fails the
+	// freshness predicate says nothing about the current data, so it must
+	// be re-fetched from the owner (who ignores consistency predicates,
+	// Section 4) before any data predicate may reject it.
+	cached := len(ps.ConsPreds) > 0 && st != fragment.StatusOwned
+	if cached {
+		ok, err = w.evalPreds(ps.ConsPreds, c)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			w.addSub(p, w.plan.pinnedQuery(p, i+1, true))
+			return false, nil
+		}
+	}
 	ok, err = w.evalPreds(ps.RestPreds, c)
 	if err != nil {
 		return false, err
@@ -199,18 +214,7 @@ func (w *walker) tryMatch(c *xmldb.Node, p xmldb.IDPath, i int) (bool, error) {
 	if !ok {
 		return w.rejectWithGeneralization(c, p)
 	}
-	if len(ps.ConsPreds) > 0 && st != fragment.StatusOwned {
-		// Query-based consistency: cached copies must satisfy the
-		// freshness predicate; otherwise re-fetch from the owner, who
-		// ignores consistency predicates (Section 4).
-		ok, err = w.evalPreds(ps.ConsPreds, c)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			w.addSub(p, w.plan.pinnedQuery(p, i+1, true))
-			return false, nil
-		}
+	if cached {
 		w.noteConsMargins(ps, c)
 	}
 	return true, nil
@@ -257,6 +261,18 @@ func (w *walker) tryMatchNested(c *xmldb.Node, p xmldb.IDPath, i int) (bool, err
 		return false, nil
 	}
 	ps := w.plan.Steps[i]
+	cached := len(ps.ConsPreds) > 0 && w.statusOf(c) != fragment.StatusOwned
+	if cached {
+		// Freshness before data, as in tryMatch: a stale copy is re-fetched.
+		ok, err := w.evalPreds(ps.ConsPreds, c)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			w.addSub(p, SubtreeQuery(p))
+			return false, nil
+		}
+	}
 	for _, preds := range [][]xpath.Expr{ps.RestPreds, ps.Opaque} {
 		ok, err := w.evalPreds(preds, c)
 		if err != nil {
@@ -266,15 +282,7 @@ func (w *walker) tryMatchNested(c *xmldb.Node, p xmldb.IDPath, i int) (bool, err
 			return false, nil
 		}
 	}
-	if len(ps.ConsPreds) > 0 && w.statusOf(c) != fragment.StatusOwned {
-		ok, err := w.evalPreds(ps.ConsPreds, c)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			w.addSub(p, SubtreeQuery(p))
-			return false, nil
-		}
+	if cached {
 		w.noteConsMargins(ps, c)
 	}
 	return true, nil

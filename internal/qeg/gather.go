@@ -2,8 +2,9 @@ package qeg
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sort"
+	"time"
 
 	"irisnet/internal/fragment"
 	"irisnet/internal/xmldb"
@@ -11,27 +12,47 @@ import (
 	"irisnet/internal/xpatheval"
 )
 
-// Fetcher resolves one subquery against the rest of the system (the site
-// layer implements it by routing to the target's owner) and returns the
-// remote answer fragment, rooted at the document root with status tags.
-// The context carries the query's remaining deadline; fetchers must give
-// up once it expires.
-type Fetcher func(ctx context.Context, sq Subquery) (*xmldb.Node, error)
+// Fetched is the outcome of one subquery fetch.
+type Fetched struct {
+	// Frag is the remote answer fragment, rooted at the document root with
+	// status tags; unused when Err is set.
+	Frag *xmldb.Node
+	// Unreachable lists the ID paths the remote answer itself could not
+	// cover, so partial answers compose across hops.
+	Unreachable []string
+	// Bytes is the fragment's wire size (freshness ledger).
+	Bytes int
+	// Err marks a failed fetch: the target joins the answer as an
+	// unreachable placeholder instead of failing the query.
+	Err error
+}
 
-// maxGatherRounds bounds the evaluate/fetch fixpoint for nested queries; in
-// practice two or three rounds suffice, the bound only guards against
-// pathological ownership configurations.
+// Fetcher is the rest of the system as one gather loop sees it. The site
+// layer implements it by routing subqueries to their owners; tests
+// implement it by recursing into other stores.
+type Fetcher interface {
+	// Fetch resolves one round's fresh subqueries and returns one Fetched
+	// per subquery, index-aligned. The context carries the query's
+	// remaining deadline; fetches must give up once it expires.
+	Fetch(ctx context.Context, sqs []Subquery) []Fetched
+	// Evaluated runs after every local evaluation, before that round's
+	// subqueries are fetched.
+	Evaluated(res *Result)
+}
+
+// maxGatherRounds bounds the fetch rounds of one nested plan's
+// evaluate/fetch fixpoint; in practice two or three rounds suffice, the
+// bound only guards against pathological ownership configurations.
 const maxGatherRounds = 64
 
 // TruncatedError reports a gather loop that hit maxGatherRounds before the
-// evaluate/fetch fixpoint converged. The answer assembled so far is still
-// returned alongside it — callers that can serve partial answers should,
-// rather than discard the gathered work. Pending lists the subqueries that
-// were still outstanding when the loop stopped.
+// evaluate/fetch fixpoint converged. Gather returns it alongside the
+// partial answer, whose Truncated flag is set and whose still-pending
+// subtrees are marked unreachable.
 type TruncatedError struct {
 	// Query is the offending query.
 	Query string
-	// Rounds is the number of gather rounds that ran.
+	// Rounds is the number of fetch rounds that ran.
 	Rounds int
 	// Pending are the subqueries the truncated loop never issued.
 	Pending []Subquery
@@ -42,108 +63,213 @@ func (e *TruncatedError) Error() string {
 		e.Query, e.Rounds, len(e.Pending))
 }
 
-// Gather executes the full query-evaluate-gather loop for a compiled query
-// (one plan per union branch): evaluate against the local fragment, fetch
-// the missing parts via subqueries, and splice everything into one C1/C2
-// answer fragment. The local store is never mutated; caching is the
-// caller's decision (it sees every fetched fragment through its Fetcher).
-func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, fetch Fetcher, opts Options) (*xmldb.Node, error) {
-	ans := fragment.NewStore(store.Root.Name, store.Root.ID())
-	seen := map[string]bool{}
-	for _, plan := range plans {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if plan.NestedIdx >= 0 {
-			if err := gatherNested(ctx, store, plan, fetch, opts, ans, seen); err != nil {
-				var trunc *TruncatedError
-				if errors.As(err, &trunc) {
-					// Truncation keeps the partial answer: the caller gets
-					// everything gathered so far plus an explicit marker in
-					// the error, instead of losing the work.
-					return ans.Root, err
-				}
-				return nil, err
-			}
-			continue
-		}
-		res, err := Evaluate(store, plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := ans.MergeFragment(res.Fragment); err != nil {
-			return nil, fmt.Errorf("qeg: merging local result: %w", err)
-		}
-		for _, sq := range res.Subqueries {
-			if seen[sq.Key()] {
-				continue
-			}
-			seen[sq.Key()] = true
-			sub, err := fetch(ctx, sq)
-			if err != nil {
-				return nil, fmt.Errorf("qeg: subquery %s at %s: %w", sq.Query, sq.Target, err)
-			}
-			if err := ans.MergeFragment(sub); err != nil {
-				return nil, fmt.Errorf("qeg: splicing subanswer for %s: %w", sq.Target, err)
-			}
-		}
-	}
-	return ans.Root, nil
+// Gathered is the outcome of one gather loop.
+type Gathered struct {
+	// Answer is the assembled C1/C2 answer fragment.
+	Answer *fragment.Store
+	// Unreachable lists, sorted, the ID paths of subtrees the answer could
+	// not cover: failed fetches, downstream partial answers, and the
+	// pending targets of a truncated loop.
+	Unreachable []string
+	// Truncated is set when a nested plan hit the round bound.
+	Truncated bool
+	// Fanout counts the subqueries fetched; zero means the answer came
+	// from the local store alone.
+	Fanout int
+	// FetchedBytes sums the wire size of successfully fetched fragments.
+	FetchedBytes int64
+	// EvalTime is the time spent in local evaluation, Evaluated hooks
+	// included.
+	EvalTime time.Duration
 }
 
-// gatherNested handles nesting depth >= 1: the subtree at the gather point
-// must be assembled before the nested predicates can be evaluated, so the
-// loop iterates evaluate -> fetch -> merge on a working copy of the store
-// until no new subqueries appear (Section 4).
-func gatherNested(ctx context.Context, store *fragment.Store, plan *Plan, fetch Fetcher, opts Options, ans *fragment.Store, seen map[string]bool) error {
-	work := store.Clone()
-	for round := 0; round < maxGatherRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := Evaluate(work, plan, opts)
+// Gather executes the full query-evaluate-gather loop for a compiled query
+// (one plan per union branch) against one store snapshot: evaluate
+// locally, fetch the missing parts via subqueries, and splice everything
+// into one C1/C2 answer fragment. The store is never mutated; caching is
+// the fetcher's decision. A failed fetch does not fail the query — its
+// target is marked unreachable (partial answer). A nested plan that does
+// not converge within maxGatherRounds returns the partial answer together
+// with a *TruncatedError.
+//
+// opts.Prov, when set, is the answer's staleness ledger: it receives the
+// provenance of exactly the evaluation rounds whose local result merged
+// into the answer (intermediate nested rounds re-read the same units).
+func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, f Fetcher, opts Options) (Gathered, error) {
+	g := gatherer{
+		ctx:    ctx,
+		fetch:  f,
+		opts:   opts,
+		ledger: opts.Prov,
+		ans:    fragment.NewStore(store.Root.Name, store.Root.ID()),
+	}
+	var trunc *TruncatedError
+	for _, plan := range plans {
+		t, err := g.gatherPlan(store, plan)
 		if err != nil {
-			return err
+			return Gathered{}, err
+		}
+		if t != nil && trunc == nil {
+			trunc = t
+		}
+	}
+	g.out.Answer = g.ans
+	g.out.Truncated = trunc != nil
+	if len(g.unreachable) > 0 {
+		g.out.Unreachable = make([]string, 0, len(g.unreachable))
+		for k := range g.unreachable {
+			g.out.Unreachable = append(g.out.Unreachable, k)
+		}
+		sort.Strings(g.out.Unreachable)
+	}
+	if trunc != nil {
+		return g.out, trunc
+	}
+	return g.out, nil
+}
+
+// gatherer is the state of one Gather call.
+type gatherer struct {
+	ctx         context.Context
+	fetch       Fetcher
+	opts        Options
+	ledger      *Provenance // the answer's ledger (Gather's opts.Prov)
+	round       *Provenance // the latest nested round's own ledger
+	ans         *fragment.Store
+	seen        map[string]bool
+	unreachable map[string]bool
+	out         Gathered // the counters; Gather fills in the rest
+}
+
+// gatherPlan runs one plan to its fixpoint. Depth-0 plans finish after one
+// fetch round: every subanswer is complete for its scope by induction.
+// Nested plans (Section 4) must assemble the subtree at the gather point
+// before their predicates can be evaluated, so they iterate evaluate ->
+// fetch -> merge on a deep working copy of the snapshot (structural
+// sharing does not preserve the parent axes they may navigate) until no
+// new subqueries appear.
+func (g *gatherer) gatherPlan(store *fragment.Store, plan *Plan) (*TruncatedError, error) {
+	var work *fragment.Store
+	if plan.NestedIdx >= 0 {
+		work = store.Clone()
+		store = work
+	}
+	for round := 0; ; round++ {
+		res, err := g.evaluate(store, plan)
+		if err != nil {
+			return nil, err
 		}
 		var fresh []Subquery
 		for _, sq := range res.Subqueries {
-			if !seen[sq.Key()] {
-				seen[sq.Key()] = true
+			if k := sq.Key(); !g.seen[k] {
+				if g.seen == nil {
+					g.seen = map[string]bool{}
+				}
+				g.seen[k] = true
 				fresh = append(fresh, sq)
 			}
 		}
 		if len(fresh) == 0 {
-			return ans.MergeFragment(res.Fragment)
+			return nil, g.mergeLocal(res)
 		}
-		if round == maxGatherRounds-1 {
-			// Out of rounds with work still pending: keep what this round
-			// evaluated (the merged fetches are already in ans) and report
-			// the truncation with the offending query instead of discarding
-			// everything gathered so far.
-			if merr := ans.MergeFragment(res.Fragment); merr != nil {
-				return fmt.Errorf("qeg: merging truncated result: %w", merr)
+		if round == maxGatherRounds {
+			// Out of rounds with work still pending: keep everything
+			// gathered so far and mark the pending subtrees unreachable
+			// instead of discarding the work.
+			if err := g.mergeLocal(res); err != nil {
+				return nil, err
 			}
-			return &TruncatedError{Query: plan.Source, Rounds: maxGatherRounds, Pending: fresh}
+			for _, sq := range fresh {
+				if err := g.markUnreachable(sq.Target); err != nil {
+					return nil, err
+				}
+			}
+			return &TruncatedError{Query: plan.Source, Rounds: round, Pending: fresh}, nil
 		}
-		for _, sq := range fresh {
-			sub, err := fetch(ctx, sq)
-			if err != nil {
-				return fmt.Errorf("qeg: nested subquery %s at %s: %w", sq.Query, sq.Target, err)
+		g.out.Fanout += len(fresh)
+		for i, r := range g.fetch.Fetch(g.ctx, fresh) {
+			if err := g.splice(work, fresh[i], r); err != nil {
+				return nil, err
 			}
-			if err := work.MergeFragment(sub); err != nil {
-				return fmt.Errorf("qeg: merging nested subanswer: %w", err)
-			}
-			// The gathered subtree also joins the answer: the final
-			// extraction re-evaluates the nested predicates and needs the
-			// sibling data they reference, not just the matching nodes.
-			if err := ans.MergeFragment(sub); err != nil {
-				return fmt.Errorf("qeg: splicing nested subanswer: %w", err)
+		}
+		if work == nil {
+			return nil, g.mergeLocal(res)
+		}
+	}
+}
+
+// evaluate runs one local evaluation. A depth-0 round always merges into
+// the answer, so it records straight into the answer's ledger; a nested
+// round gets its own ledger, which joins the answer's only if the round's
+// result merges (mergeLocal).
+func (g *gatherer) evaluate(store *fragment.Store, plan *Plan) (*Result, error) {
+	t0 := time.Now()
+	opts := g.opts
+	g.round = nil
+	if g.ledger != nil {
+		opts.Prov = g.ledger
+		if plan.NestedIdx >= 0 {
+			g.round = NewProvenance(g.ledger.Now())
+			opts.Prov = g.round
+		}
+	}
+	res, err := Evaluate(store, plan, opts)
+	if err == nil {
+		g.fetch.Evaluated(res)
+	}
+	g.out.EvalTime += time.Since(t0)
+	return res, err
+}
+
+// mergeLocal merges an evaluation round's local result into the answer,
+// along with its ledger.
+func (g *gatherer) mergeLocal(res *Result) error {
+	if err := g.ans.MergeFragment(res.Fragment); err != nil {
+		return fmt.Errorf("qeg: merging local result: %w", err)
+	}
+	if g.round != nil {
+		g.ledger.Merge(g.round)
+	}
+	return nil
+}
+
+// splice merges one fetched subanswer into the answer (and the nested
+// working copy, when there is one). A failed fetch becomes an unreachable
+// placeholder; the seen-set guarantees it is not reissued. Unreachable
+// markers carry no data, so merging drops them: the downstream site's
+// partial-answer list is re-applied here.
+func (g *gatherer) splice(work *fragment.Store, sq Subquery, r Fetched) error {
+	if r.Err != nil {
+		return g.markUnreachable(sq.Target)
+	}
+	g.out.FetchedBytes += int64(r.Bytes)
+	if work != nil {
+		if err := work.MergeFragment(r.Frag); err != nil {
+			return fmt.Errorf("qeg: merging nested subanswer for %s: %w", sq.Target, err)
+		}
+	}
+	if err := g.ans.MergeFragment(r.Frag); err != nil {
+		return fmt.Errorf("qeg: splicing subanswer for %s: %w", sq.Target, err)
+	}
+	for _, us := range r.Unreachable {
+		if p, err := xmldb.ParseIDPath(us); err == nil {
+			if err := g.markUnreachable(p); err != nil {
+				return err
 			}
 		}
 	}
-	// Unreachable: the last loop iteration either converged or returned the
-	// truncation error above.
-	return &TruncatedError{Query: plan.Source, Rounds: maxGatherRounds}
+	return nil
+}
+
+func (g *gatherer) markUnreachable(p xmldb.IDPath) error {
+	if err := g.ans.MarkUnreachable(p); err != nil {
+		return fmt.Errorf("qeg: marking %s unreachable: %w", p, err)
+	}
+	if g.unreachable == nil {
+		g.unreachable = map[string]bool{}
+	}
+	g.unreachable[p.Key()] = true
+	return nil
 }
 
 // LCAPath extracts the ID path of a query's lowest common ancestor from

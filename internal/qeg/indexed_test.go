@@ -90,8 +90,8 @@ func TestIndexedSnapshotMatchesWalker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frag, err := Gather(context.Background(), hier["root-site"], plans,
-			resolver(t, hier, a, schema, nil), Options{})
+		frag, err := gatherStrict(context.Background(), hier["root-site"], plans,
+			resolver(t, hier, a, schema, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package qeg
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -182,15 +183,52 @@ func TestSubtreeQueryEscapesQuotes(t *testing.T) {
 	}
 }
 
+// TestGatherPropagatesFetchErrors: a failed fetch propagates into the
+// answer as an unreachable subtree, not as a query failure. The failed
+// target is listed in Unreachable and every other subtree is intact.
 func TestGatherPropagatesFetchErrors(t *testing.T) {
-	stores, _ := hierarchicalStores(t)
-	plans, _ := CompileQuery(figure2Query, parkingSchema())
-	failing := func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
-		return nil, errFetch
+	stores, a := hierarchicalStores(t)
+	schema := parkingSchema()
+	plans, _ := CompileQuery(figure2Query, schema)
+	oakland := idpath(t, pittsburghPath+"/neighborhood[@id='Oakland']")
+	ok := resolver(t, stores, a, schema, nil)
+	var failed []string
+	failing := fetchOne(func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+		if oakland.IsPrefixOf(sq.Target) {
+			failed = append(failed, sq.Target.Key())
+			return nil, errFetch
+		}
+		return ok(ctx, sq)
+	})
+	g, err := Gather(context.Background(), stores["city-site"], plans, failing, Options{})
+	if err != nil {
+		t.Fatalf("a fetch error must yield a partial answer, got %v", err)
 	}
-	if _, err := Gather(context.Background(), stores["city-site"], plans, failing, Options{}); err == nil {
-		t.Fatal("fetch errors must propagate")
+	if len(failed) == 0 {
+		t.Fatal("the query never asked Oakland's owner")
 	}
+	sort.Strings(failed)
+	if strings.Join(g.Unreachable, ",") != strings.Join(failed, ",") {
+		t.Fatalf("Unreachable = %v, want the failed targets %v", g.Unreachable, failed)
+	}
+	// The local result merges after the fetch round, so the failed target
+	// is a bare stub in the fragment; Unreachable is the authoritative list.
+	for _, k := range failed {
+		p, _ := xmldb.ParseIDPath(k)
+		if n := g.Answer.NodeAt(p); n != nil && (fragment.EffectiveStatus(n).HasLocalInfo() || len(n.Children) > 0) {
+			t.Fatalf("failed target %s holds data in the answer: %s", k, n)
+		}
+	}
+	// Shadyside's subtree is untouched by Oakland's failure.
+	got, err := ExtractAnswer(g.Answer.Root, figure2Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := centralized(t, doc(t), pittsburghPath+"/neighborhood[@id='Shadyside']/block[@id='1']/parkingSpace[available='yes']")
+	if len(want) == 0 {
+		t.Fatal("test needs answers outside the failed subtree")
+	}
+	sameSets(t, canonSet(got), want, "answer outside the failed subtree")
 }
 
 var errFetch = &fetchError{}
@@ -202,10 +240,10 @@ func (*fetchError) Error() string { return "injected fetch failure" }
 func TestGatherMalformedSubAnswer(t *testing.T) {
 	stores, _ := hierarchicalStores(t)
 	plans, _ := CompileQuery(figure2Query, parkingSchema())
-	malformed := func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+	malformed := fetchOne(func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
 		// A fragment violating C2: complete child under incomplete parent.
 		return xmldb.MustParse(`<usRegion id="NE" status="incomplete"><state id="PA" status="complete"/></usRegion>`), nil
-	}
+	})
 	if _, err := Gather(context.Background(), stores["city-site"], plans, malformed, Options{}); err == nil {
 		t.Fatal("invalid subanswers must be rejected")
 	}

@@ -110,16 +110,16 @@ func runDistributed(t testing.TB, stores map[string]*fragment.Store, a *fragment
 	if err != nil {
 		return nil, err
 	}
-	var fetch Fetcher
+	var fetch fetchOne
 	fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
 		owner := a.OwnerOf(sq.Target)
 		p2, err := CompileQuery(sq.Query, schema)
 		if err != nil {
 			return nil, err
 		}
-		return Gather(ctx, stores[owner], p2, fetch, Options{})
+		return gatherStrict(ctx, stores[owner], p2, fetch)
 	}
-	frag, err := Gather(context.Background(), stores[entry], plans, fetch, Options{})
+	frag, err := gatherStrict(context.Background(), stores[entry], plans, fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -195,15 +195,15 @@ func TestPropertyCachingPreservesCorrectness(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			var fetch Fetcher
+			var fetch fetchOne
 			fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
 				p2, err := CompileQuery(sq.Query, schema)
 				if err != nil {
 					return nil, err
 				}
-				return Gather(ctx, stores[a.OwnerOf(sq.Target)], p2, fetch, Options{})
+				return gatherStrict(ctx, stores[a.OwnerOf(sq.Target)], p2, fetch)
 			}
-			frag, err := Gather(context.Background(), stores[entry], plans, fetch, Options{})
+			frag, err := gatherStrict(context.Background(), stores[entry], plans, fetch)
 			if err != nil {
 				t.Logf("seed %d warm %q: %v", seed, q, err)
 				return false
@@ -258,15 +258,15 @@ func TestPropertyAnswersAreValidFragments(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			var fetch Fetcher
+			var fetch fetchOne
 			fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
 				p2, err := CompileQuery(sq.Query, schema)
 				if err != nil {
 					return nil, err
 				}
-				return Gather(ctx, stores[a.OwnerOf(sq.Target)], p2, fetch, Options{})
+				return gatherStrict(ctx, stores[a.OwnerOf(sq.Target)], p2, fetch)
 			}
-			frag, err := Gather(context.Background(), stores[entry], plans, fetch, Options{})
+			frag, err := gatherStrict(context.Background(), stores[entry], plans, fetch)
 			if err != nil {
 				return false
 			}

@@ -23,7 +23,7 @@ func warmOakland(t *testing.T) (citySite *fragment.Store, stores map[string]*fra
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
+	frag, err := gatherStrict(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

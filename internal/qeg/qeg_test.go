@@ -2,6 +2,7 @@ package qeg
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -111,10 +112,46 @@ func hierarchicalStores(t testing.TB) (map[string]*fragment.Store, *fragment.Ass
 	return stores, a
 }
 
-// resolver returns a Fetcher that recursively answers subqueries against
+// fetchOne answers one subquery; as a Fetcher it resolves a round's
+// subqueries one at a time, the test-side stand-in for the site layer's
+// batching dispatcher.
+type fetchOne func(ctx context.Context, sq Subquery) (*xmldb.Node, error)
+
+func (f fetchOne) Fetch(ctx context.Context, sqs []Subquery) []Fetched {
+	out := make([]Fetched, len(sqs))
+	for i, sq := range sqs {
+		out[i].Frag, out[i].Err = f(ctx, sq)
+	}
+	return out
+}
+
+func (fetchOne) Evaluated(*Result) {}
+
+// gatherStrict runs Gather and fails on the first failed fetch instead of
+// returning a partial answer, so a differential test can never pass on an
+// answer with unreachable holes.
+func gatherStrict(ctx context.Context, store *fragment.Store, plans []*Plan, fetch fetchOne) (*xmldb.Node, error) {
+	var firstErr error
+	g, err := Gather(ctx, store, plans, fetchOne(func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+		frag, err := fetch(ctx, sq)
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("subquery %s at %s: %w", sq.Query, sq.Target, err)
+		}
+		return frag, err
+	}), Options{})
+	if err != nil {
+		return nil, err
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return g.Answer.Root, nil
+}
+
+// resolver returns a fetcher that recursively answers subqueries against
 // the owners' stores — the same loop the site layer runs over the network.
-func resolver(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assignment, schema *xpath.Schema, hops *int) Fetcher {
-	var fetch Fetcher
+func resolver(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assignment, schema *xpath.Schema, hops *int) fetchOne {
+	var fetch fetchOne
 	fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
 		if hops != nil {
 			*hops++
@@ -125,7 +162,7 @@ func resolver(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assig
 		if err != nil {
 			return nil, err
 		}
-		return Gather(ctx, store, plans, fetch, Options{})
+		return gatherStrict(ctx, store, plans, fetch)
 	}
 	return fetch
 }
@@ -161,7 +198,7 @@ func distributed(t testing.TB, stores map[string]*fragment.Store, a *fragment.As
 	if err != nil {
 		t.Fatalf("compile %q: %v", query, err)
 	}
-	frag, err := Gather(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, nil), Options{})
+	frag, err := gatherStrict(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, nil))
 	if err != nil {
 		t.Fatalf("gather %q at %s: %v", query, entry, err)
 	}
@@ -360,7 +397,7 @@ func TestGatherHopCount(t *testing.T) {
 	count := func(entry string) int {
 		hops := 0
 		plans, _ := CompileQuery(figure2Query, schema)
-		if _, err := Gather(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, &hops), Options{}); err != nil {
+		if _, err := gatherStrict(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, &hops)); err != nil {
 			t.Fatal(err)
 		}
 		return hops
@@ -382,7 +419,7 @@ func TestPartialMatchCaching(t *testing.T) {
 
 	warm := pittsburghPath + "/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[available='yes']"
 	plans, _ := CompileQuery(warm, schema)
-	frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
+	frag, err := gatherStrict(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +456,7 @@ func TestSubsumption(t *testing.T) {
 	for _, nb := range []string{"Oakland", "Shadyside", "Etna"} {
 		q := pittsburghPath + "/neighborhood[@id='" + nb + "']"
 		plans, _ := CompileQuery(q, schema)
-		frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
+		frag, err := gatherStrict(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +492,7 @@ func TestConsistencyPredicates(t *testing.T) {
 	fragment.SetTimestamp(oakNode, 100)
 	warm := pittsburghPath + "/neighborhood[@id='Oakland']"
 	plans, _ := CompileQuery(warm, schema)
-	frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
+	frag, err := gatherStrict(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +648,7 @@ func TestGatherResultIsValidFragment(t *testing.T) {
 	stores, a := hierarchicalStores(t)
 	schema := parkingSchema()
 	plans, _ := CompileQuery(figure2Query, schema)
-	frag, err := Gather(context.Background(), stores["root-site"], plans, resolver(t, stores, a, schema, nil), Options{})
+	frag, err := gatherStrict(context.Background(), stores["root-site"], plans, resolver(t, stores, a, schema, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

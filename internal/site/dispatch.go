@@ -12,25 +12,25 @@ import (
 	"irisnet/internal/xmldb"
 )
 
-// subResult is the outcome of one dispatched subquery, index-aligned with
-// the fresh slice handed to dispatchSubqueries. span, when set, is a span to
-// hang under the querying hop (the remote hop's span on the single-message
-// path, a local marker on the coalesced path); batched entries leave it nil
-// because their spans travel as children of the batch span.
-type subResult struct {
-	frag  *xmldb.Node
-	downs []string // remote site's unreachable paths (partial answers compose)
-	bytes int      // wire size of the fetched fragment (freshness ledger)
-	span  *trace.Span
-	err   error
+// fetched is the outcome of one dispatched subrequest, index-aligned with
+// the subqueries handed to dispatch. The embedded qeg.Fetched carries what
+// the gather loop splices — the remote site's unreachable paths and the
+// failure for every kind, the fragment and its wire size for the raw kind
+// — and ans the rest of a kind's answer (the aggregate partial; the raw
+// kind has none). span, when set, is a span to hang under the querying hop
+// (the remote hop's span on the single-message path, a local marker on the
+// coalesced path); batched entries leave it nil because their spans travel
+// as children of the batch span.
+type fetched[T any] struct {
+	qeg.Fetched
+	ans  T
+	span *trace.Span
 }
 
 // flight is one in-progress upstream fetch that concurrent queries for the
-// same generalized subquery share. The leader performs the fetch (possibly
-// inside a batch) and publishes the outcome; followers select on done
-// against their own context so a slow waiter cannot leak the flight. The
-// result type is generic because raw subqueries (subResult) and aggregate
-// subrequests (aggResult) share the mechanism but not the payload.
+// same subrequest share. The leader performs the fetch (possibly inside a
+// batch) and publishes the outcome; followers select on done against
+// their own context so a slow waiter cannot leak the flight.
 type flight[T any] struct {
 	done chan struct{}
 	res  T
@@ -75,6 +75,43 @@ func (g *flightGroup[T]) finish(key string, f *flight[T], r T) {
 	close(f.done)
 }
 
+// dispatcher is the site's one subquery dispatcher, generic over the answer
+// type. Raw subqueries (KindQuery, fragment answers) and aggregate
+// subrequests (KindAggregate, partial-state answers) share coalescing,
+// per-owner batching, byte-cap splitting, the follower's private-fetch
+// fallback and error spans; each kind supplies only its codec fields.
+type dispatcher[T any] struct {
+	s *Site
+	// kind is the message kind of one subrequest and of its batch entries.
+	kind string
+	// decode extracts the answer from a reply message into r; a batch
+	// entry is decoded as the reply message it stands for.
+	decode func(m *Message, r *fetched[T]) error
+	// cache makes a fetched fragment merge into the site cache before its
+	// flight retires (cacheFetched); kinds the site does not cache leave
+	// it false.
+	cache bool
+	// flights coalesces identical in-flight subrequests (caching sites).
+	flights *flightGroup[fetched[T]]
+}
+
+// newRawDispatcher builds the raw kind's dispatcher. Its answer is the
+// fragment in the embedded qeg.Fetched, so it carries no ans; fetched
+// fragments merge into the site cache before their flight retires.
+func newRawDispatcher(s *Site) *dispatcher[struct{}] {
+	return &dispatcher[struct{}]{
+		s:    s,
+		kind: KindQuery,
+		decode: func(m *Message, r *fetched[struct{}]) (err error) {
+			r.Frag, err = xmldb.ParseString(m.Fragment)
+			r.Bytes = len(m.Fragment)
+			return err
+		},
+		cache:   true,
+		flights: newFlightGroup[fetched[struct{}]](),
+	}
+}
+
 // pendingSub is one subquery this dispatch call must actually send, with its
 // index into the fresh slice.
 type pendingSub struct {
@@ -87,11 +124,11 @@ type pendingSub struct {
 // the data cached — there is no window where a subquery neither joins the
 // flight nor hits the cache. On a merge failure (a "cannot happen" path:
 // the same validation accepted the fragment into the answer) the fetch is
-// reported failed, marking just this subtree unreachable. No-op when err is
-// already set or caching is off.
-func (s *Site) cacheFetched(frag *xmldb.Node, err *error) *xmldb.Node {
-	if *err != nil || !s.cfg.Caching || frag == nil {
-		return frag
+// reported failed, marking just this subtree unreachable. No-op when
+// caching is off.
+func (s *Site) cacheFetched(frag *xmldb.Node) error {
+	if !s.cfg.Caching {
+		return nil
 	}
 	if s.cache != nil {
 		// Pin the fragment's units across the merge: the budget eviction
@@ -100,11 +137,16 @@ func (s *Site) cacheFetched(frag *xmldb.Node, err *error) *xmldb.Node {
 		s.cache.pinFragment(frag)
 		defer s.cache.unpinFragment(frag)
 	}
-	if cerr := s.mergeCache(frag); cerr != nil {
-		*err = fmt.Errorf("site %s: caching subanswer: %w", s.cfg.Name, cerr)
-		return nil
+	if err := s.mergeCache(frag); err != nil {
+		return fmt.Errorf("site %s: caching subanswer: %w", s.cfg.Name, err)
 	}
-	return frag
+	return nil
+}
+
+// failed is the outcome of a subrequest that failed before a remote span
+// could be produced; site names where it failed in the error span.
+func (d *dispatcher[T]) failed(traceID, site, query string, err error) fetched[T] {
+	return fetched[T]{Fetched: qeg.Fetched{Err: err}, span: errSpan(traceID, site, query, err)}
 }
 
 // errSpan builds the synthetic span recorded when a fetch fails before a
@@ -117,16 +159,16 @@ func errSpan(traceID, site, query string, err error) *trace.Span {
 	return &trace.Span{TraceID: traceID, Site: site, Query: query, Op: "query", Error: err.Error()}
 }
 
-// dispatchSubqueries fetches every fresh subquery concurrently and returns
-// results index-aligned with fresh, plus the batch-level spans to attach to
-// the querying hop. Two optimizations apply on top of the plain
+// dispatch fetches every fresh subquery concurrently and returns results
+// index-aligned with fresh, plus the batch-level spans to attach to the
+// querying hop. Two optimizations apply on top of the plain
 // one-message-per-subquery path:
 //
 //   - Coalescing (caching sites): identical in-flight subqueries share one
-//     upstream fetch through the site's flightGroup. The first query to want
-//     a key leads the flight; concurrent queries join as followers and
-//     splice the same returned fragment. Followers keep their own context
-//     (a canceled waiter abandons the flight without killing it) and fall
+//     upstream fetch through the dispatcher's flightGroup. The first query
+//     to want a key leads the flight; concurrent queries join as followers
+//     and take the same answer. Followers keep their own context (a
+//     canceled waiter abandons the flight without killing it) and fall
 //     back to a private fetch when the flight itself fails, so a leader's
 //     tight deadline cannot poison its followers.
 //
@@ -138,34 +180,29 @@ func errSpan(traceID, site, query string, err error) *trace.Span {
 // counts network sends (so Subqueries - SubqueryRPCs is the messaging saved
 // by batching), and Coalesced counts subqueries answered by joining a
 // flight.
-func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, traceID string) ([]subResult, []*trace.Span) {
-	results := make([]subResult, len(fresh))
+func (d *dispatcher[T]) dispatch(ctx context.Context, fresh []qeg.Subquery, traceID string) ([]fetched[T], []*trace.Span) {
+	s := d.s
+	results := make([]fetched[T], len(fresh))
 
 	// Partition into flight leaders/singles (must fetch) and followers
 	// (wait on someone else's fetch). Keys within one dispatch call are
-	// distinct (handleQuery's seen-set), so a follower's leader is always
-	// another query's goroutine.
+	// distinct (the gather loop's seen-set), so a follower's leader is
+	// always another query's goroutine.
 	var toFetch []pendingSub
 	type waiter struct {
-		idx int
-		sq  qeg.Subquery
-		fl  *flight[subResult]
+		pendingSub
+		fl *flight[fetched[T]]
 	}
 	var waiters []waiter
-	type ledFlight struct {
-		key string
-		fl  *flight[subResult]
-	}
-	leaders := map[int]ledFlight{}
+	leading := map[int]*flight[fetched[T]]{}
 	if s.cfg.Caching && !s.cfg.DisableCoalescing {
 		for i, sq := range fresh {
-			key := sq.Key()
-			fl, leads := s.flights.join(key)
+			fl, leads := d.flights.join(sq.Key())
 			if leads {
-				leaders[i] = ledFlight{key, fl}
+				leading[i] = fl
 				toFetch = append(toFetch, pendingSub{i, sq})
 			} else {
-				waiters = append(waiters, waiter{i, sq, fl})
+				waiters = append(waiters, waiter{pendingSub{i, sq}, fl})
 			}
 		}
 	} else {
@@ -177,36 +214,38 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 	// A leader must complete its flight on every outcome, or followers hang
 	// until their own contexts expire.
 	finishLeader := func(idx int) {
-		if led, ok := leaders[idx]; ok {
-			s.flights.finish(led.key, led.fl, results[idx])
+		if fl, ok := leading[idx]; ok {
+			d.flights.finish(fresh[idx].Key(), fl, results[idx])
 		}
 	}
 
 	var wg sync.WaitGroup
 	single := func(p pendingSub) {
-		frag, downs, nbytes, span, err := s.fetchSubquery(ctx, p.sq, traceID)
-		frag = s.cacheFetched(frag, &err)
-		results[p.idx] = subResult{frag: frag, downs: downs, bytes: nbytes, span: span, err: err}
-		finishLeader(p.idx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[p.idx] = d.fetchOne(ctx, p.sq, traceID)
+			finishLeader(p.idx)
+		}()
 	}
 
 	var spanMu sync.Mutex
 	var batchSpans []*trace.Span
 	if s.cfg.DisableBatching {
 		for _, p := range toFetch {
-			wg.Add(1)
-			go func(p pendingSub) { defer wg.Done(); single(p) }(p)
+			single(p)
 		}
 	} else {
 		// Group by resolved owner; singleton groups keep the plain
-		// KindQuery path (a batch of one would only add envelope overhead).
+		// single-message path (a batch of one would only add envelope
+		// overhead).
 		groups := map[string][]pendingSub{}
 		var order []string
 		for _, p := range toFetch {
 			owner, err := s.cfg.DNS.Resolve(p.sq.Target)
 			if err != nil {
 				err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.sq.Target, err)
-				results[p.idx] = subResult{err: err, span: errSpan(traceID, p.sq.Target.String(), p.sq.Query, err)}
+				results[p.idx] = d.failed(traceID, p.sq.Target.String(), p.sq.Query, err)
 				finishLeader(p.idx)
 				continue
 			}
@@ -218,25 +257,22 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 		for _, owner := range order {
 			group := groups[owner]
 			if len(group) == 1 {
-				wg.Add(1)
-				go func(p pendingSub) { defer wg.Done(); single(p) }(group[0])
+				single(group[0])
 				continue
 			}
 			for _, piece := range splitByByteCap(group, s.cfg.BatchByteCap) {
 				if len(piece) == 1 {
-					// A piece collapses to one entry when a single entry's
-					// encoded size exceeds the byte cap (or the cap leaves a
-					// remainder of one). A batch of one buys nothing, so fall
-					// back to a plain — possibly oversized — KindQuery
-					// message rather than a degenerate batch.
-					wg.Add(1)
-					go func(p pendingSub) { defer wg.Done(); single(p) }(piece[0])
+					// A piece collapses to one entry when that entry alone
+					// exceeds the byte cap (or the cap leaves a remainder of
+					// one). A batch of one buys nothing, so send a plain —
+					// possibly oversized — message instead.
+					single(piece[0])
 					continue
 				}
 				wg.Add(1)
 				go func(owner string, piece []pendingSub) {
 					defer wg.Done()
-					if sp := s.sendBatch(ctx, owner, piece, traceID, results, finishLeader); sp != nil {
+					if sp := d.sendBatch(ctx, owner, piece, traceID, results, finishLeader); sp != nil {
 						spanMu.Lock()
 						batchSpans = append(batchSpans, sp)
 						spanMu.Unlock()
@@ -252,31 +288,75 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 			defer wg.Done()
 			select {
 			case <-w.fl.done:
-				if w.fl.res.err != nil {
+				if w.fl.res.Err != nil {
 					// The flight failed — possibly the leader's deadline,
 					// not ours. Fall back to a private fetch rather than
 					// inheriting the leader's failure.
-					frag, downs, nbytes, span, err := s.fetchSubquery(ctx, w.sq, traceID)
-					frag = s.cacheFetched(frag, &err)
-					results[w.idx] = subResult{frag: frag, downs: downs, bytes: nbytes, span: span, err: err}
+					results[w.idx] = d.fetchOne(ctx, w.sq, traceID)
 					return
 				}
 				s.Metrics.Coalesced.Inc()
-				var span *trace.Span
+				r := w.fl.res
+				r.span = nil
 				if traceID != "" {
 					// A marker span with this query's own trace ID; adopting
 					// the leader's subtree would mix trace IDs in one tree.
-					span = &trace.Span{TraceID: traceID, Site: s.cfg.Name, Query: w.sq.Query, Op: "coalesced"}
+					r.span = &trace.Span{TraceID: traceID, Site: s.cfg.Name, Query: w.sq.Query, Op: "coalesced"}
 				}
-				results[w.idx] = subResult{frag: w.fl.res.frag, downs: w.fl.res.downs, bytes: w.fl.res.bytes, span: span}
+				results[w.idx] = r
 			case <-ctx.Done():
 				err := fmt.Errorf("site %s: awaiting coalesced fetch: %w", s.cfg.Name, ctx.Err())
-				results[w.idx] = subResult{err: err, span: errSpan(traceID, s.cfg.Name, w.sq.Query, err)}
+				results[w.idx] = d.failed(traceID, s.cfg.Name, w.sq.Query, err)
 			}
 		}(w)
 	}
 	wg.Wait()
 	return results, batchSpans
+}
+
+// fetchOne routes one subrequest to the owner of its target as a single
+// message, retrying transient failures within the context's deadline. The
+// result carries the remote site's own unreachable-path list and — when
+// traceID is set — the remote hop's span (a synthetic error span when the
+// fetch failed). CPU is consumed for encode/decode; the network wait
+// itself is not billed to this site's capacity.
+func (d *dispatcher[T]) fetchOne(ctx context.Context, sq qeg.Subquery, traceID string) fetched[T] {
+	s := d.s
+	s.Metrics.Subqueries.Inc()
+	s.Metrics.SubqueryRPCs.Inc()
+	owner, err := s.cfg.DNS.Resolve(sq.Target)
+	if err != nil {
+		return d.failed(traceID, sq.Target.String(), sq.Query, fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, sq.Target, err))
+	}
+	var payload []byte
+	s.cpu.Do(func() {
+		m := &Message{Kind: d.kind, Query: sq.Query, TraceID: traceID}
+		m.StampDeadline(ctx)
+		payload = m.Encode()
+	})
+	respB, err := s.call.Call(ctx, owner, payload)
+	if err != nil {
+		return d.failed(traceID, owner, sq.Query, fmt.Errorf("site %s: calling %s: %w", s.cfg.Name, owner, err))
+	}
+	var r fetched[T]
+	s.cpu.Do(func() {
+		var resp *Message
+		if resp, err = DecodeMessage(respB); err != nil {
+			return
+		}
+		if err = resp.AsError(); err != nil {
+			return
+		}
+		r.Unreachable, r.span = resp.Unreachable, resp.Span
+		err = d.decode(resp, &r)
+	})
+	if err != nil {
+		return d.failed(traceID, owner, sq.Query, fmt.Errorf("site %s: subanswer from %s: %w", s.cfg.Name, owner, err))
+	}
+	if d.cache {
+		r.Err = s.cacheFetched(r.Frag)
+	}
+	return r
 }
 
 // splitByByteCap partitions one destination group into pieces whose encoded
@@ -307,15 +387,19 @@ func splitByByteCap(group []pendingSub, capBytes int) [][]pendingSub {
 	return pieces
 }
 
-// sendBatch ships one KindBatch message carrying piece's subqueries to
+// sendBatch ships one KindBatch message carrying piece's subrequests to
 // owner, decodes the per-entry answers into results, and completes any
 // flights those entries lead. It returns the remote hop's batch span (nil
 // without tracing); per-entry spans ride as its children, so entry results
 // carry no span of their own.
-func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, traceID string, results []subResult, finishLeader func(int)) *trace.Span {
+func (d *dispatcher[T]) sendBatch(ctx context.Context, owner string, piece []pendingSub, traceID string, results []fetched[T], finishLeader func(int)) *trace.Span {
+	s := d.s
 	entries := make([]BatchEntry, len(piece))
 	for i, p := range piece {
 		entries[i] = BatchEntry{Query: p.sq.Query}
+		if d.kind != KindQuery {
+			entries[i].Kind = d.kind // raw entries keep the kind-less wire form
+		}
 	}
 	var payload []byte
 	s.cpu.Do(func() {
@@ -330,7 +414,7 @@ func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, 
 
 	fail := func(err error) *trace.Span {
 		for _, p := range piece {
-			results[p.idx] = subResult{err: err, span: errSpan(traceID, owner, p.sq.Query, err)}
+			results[p.idx] = d.failed(traceID, owner, p.sq.Query, err)
 			finishLeader(p.idx)
 		}
 		if traceID == "" {
@@ -344,53 +428,48 @@ func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, 
 		return fail(fmt.Errorf("site %s: batch to %s: %w", s.cfg.Name, owner, err))
 	}
 	var resp *Message
-	var derr error
 	s.cpu.Do(func() {
-		resp, derr = DecodeMessage(respB)
+		resp, err = DecodeMessage(respB)
 	})
-	if derr == nil {
-		if e := resp.AsError(); e != nil {
-			derr = e
-		}
+	if err == nil {
+		err = resp.AsError()
 	}
-	if derr == nil && len(resp.Entries) != len(piece) {
-		derr = fmt.Errorf("%d answer entries for %d subqueries", len(resp.Entries), len(piece))
+	if err == nil && len(resp.Entries) != len(piece) {
+		err = fmt.Errorf("%d answer entries for %d subqueries", len(resp.Entries), len(piece))
 	}
-	if derr != nil {
-		return fail(fmt.Errorf("site %s: batch answer from %s: %w", s.cfg.Name, owner, derr))
+	if err != nil {
+		return fail(fmt.Errorf("site %s: batch answer from %s: %w", s.cfg.Name, owner, err))
 	}
 
 	for i, p := range piece {
-		e := resp.Entries[i]
+		e := &resp.Entries[i]
+		r := fetched[T]{Fetched: qeg.Fetched{Unreachable: e.Unreachable}}
 		if e.Status != BatchEntryOK {
-			err := fmt.Errorf("site %s: batch entry from %s: %s", s.cfg.Name, owner, e.Error)
-			results[p.idx] = subResult{err: err}
+			r.Err = fmt.Errorf("site %s: batch entry from %s: %s", s.cfg.Name, owner, e.Error)
 		} else {
-			var frag *xmldb.Node
-			var perr error
 			s.cpu.Do(func() {
-				frag, perr = xmldb.ParseString(e.Fragment)
+				// Decode the entry as the reply a single subrequest would get.
+				err = d.decode(&Message{Fragment: e.Fragment, Agg: e.Agg, Truncated: e.Truncated}, &r)
 			})
-			if perr != nil {
-				perr = fmt.Errorf("site %s: batch entry from %s: %w", s.cfg.Name, owner, perr)
-				results[p.idx] = subResult{err: perr}
-			} else {
-				frag = s.cacheFetched(frag, &perr)
-				results[p.idx] = subResult{frag: frag, downs: e.Unreachable, bytes: len(e.Fragment), err: perr}
+			if err != nil {
+				r.Err = fmt.Errorf("site %s: batch entry from %s: %w", s.cfg.Name, owner, err)
+			} else if d.cache {
+				r.Err = s.cacheFetched(r.Frag)
 			}
 		}
+		results[p.idx] = r
 		finishLeader(p.idx)
 	}
 	return resp.Span
 }
 
 // handleBatch answers a KindBatch message: every entry evaluates through the
-// normal query path against one pinned snapshot — a single atomic load, so
-// all entries of a batch answer from the same consistent version — and the
-// per-entry outcomes return in request order with individual statuses. One
-// failed entry does not fail the batch; the sender splices the others and
-// marks only the failed target unreachable, exactly as an individual
-// subquery failure would.
+// normal handler for its kind against one pinned snapshot — a single atomic
+// load, so all entries of a batch answer from the same consistent version —
+// and the per-entry outcomes return in request order with individual
+// statuses. One failed entry does not fail the batch; the sender splices
+// the others and marks only the failed target unreachable, exactly as an
+// individual subquery failure would.
 func (s *Site) handleBatch(ctx context.Context, msg *Message, reqBytes int) *Message {
 	t0 := time.Now()
 	if len(msg.Entries) == 0 {
@@ -403,27 +482,19 @@ func (s *Site) handleBatch(ctx context.Context, msg *Message, reqBytes int) *Mes
 		wg.Add(1)
 		go func(i int, kind, query string) {
 			defer wg.Done()
-			if kind == KindAggregate {
-				em := &Message{Kind: KindAggregate, Query: query, TraceID: msg.TraceID}
-				resp := s.handleAggregate(ctx, em, len(query), snap)
-				if err := resp.AsError(); err != nil {
-					out[i] = BatchEntry{Kind: kind, Query: query, Status: BatchEntryError, Error: err.Error(),
-						Span: errSpan(msg.TraceID, s.cfg.Name, query, err)}
-					return
-				}
-				out[i] = BatchEntry{Kind: kind, Query: query, Status: BatchEntryOK, Agg: resp.Agg,
-					Unreachable: resp.Unreachable, Truncated: resp.Truncated, Span: resp.Span}
-				return
-			}
 			em := &Message{Kind: KindQuery, Query: query, TraceID: msg.TraceID}
-			resp := s.handleQuery(ctx, em, len(query), snap)
+			handle := s.handleQuery
+			if kind == KindAggregate {
+				em.Kind, handle = KindAggregate, s.handleAggregate
+			}
+			resp := handle(ctx, em, len(query), snap)
 			if err := resp.AsError(); err != nil {
-				out[i] = BatchEntry{Query: query, Status: BatchEntryError, Error: err.Error(),
+				out[i] = BatchEntry{Kind: kind, Query: query, Status: BatchEntryError, Error: err.Error(),
 					Span: errSpan(msg.TraceID, s.cfg.Name, query, err)}
 				return
 			}
-			out[i] = BatchEntry{Query: query, Status: BatchEntryOK, Fragment: resp.Fragment,
-				Unreachable: resp.Unreachable, Span: resp.Span}
+			out[i] = BatchEntry{Kind: kind, Query: query, Status: BatchEntryOK, Fragment: resp.Fragment, Agg: resp.Agg,
+				Unreachable: resp.Unreachable, Truncated: resp.Truncated, Span: resp.Span}
 		}(i, e.Kind, e.Query)
 	}
 	wg.Wait()

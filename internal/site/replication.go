@@ -57,7 +57,8 @@ import (
 // naming.Client.ResolveRead sends freshness-tolerant queries to a
 // rendezvous-hashed replica and everything else — updates, strict
 // queries, refresh subqueries — to the owner. Sites always resolve
-// subquery targets to the owner (fetchSubquery), so a replica whose data
+// subquery targets to the owner (dispatcher.fetchOne and sendBatch in
+// dispatch.go), so a replica whose data
 // is too stale for a predicate refreshes from the owner and a
 // replica-to-replica forwarding loop cannot form.
 

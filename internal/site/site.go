@@ -2,6 +2,7 @@ package site
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -52,12 +53,6 @@ type Config struct {
 	// CPUSlots is the number of concurrent CPU-bound message-processing
 	// slots (1 models the paper's single-CPU machines).
 	CPUSlots int
-	// CoarseLocking reinstates the pre-snapshot concurrency control for
-	// benchmarking: query evaluation holds a reader-writer lock that every
-	// update and cache merge takes exclusively, so reads and writes
-	// serialize exactly as they did before the copy-on-write design. It
-	// exists only as the "before" arm of irisbench -exp read-write-mix.
-	CoarseLocking bool
 	// QueryWork, PerNodeWork and UpdateWork model the paper's heavier XML
 	// backend (Xindice + Xalan cost milliseconds per operation where this
 	// native engine costs microseconds): each query evaluation holds the
@@ -142,11 +137,6 @@ type Config struct {
 // that a batch never trips transport frame limits or head-of-line-blocks a
 // WAN link for seconds.
 const DefaultBatchByteCap = 256 << 10
-
-// maxSiteGatherRounds bounds a site's evaluate/fetch gather loop; hitting
-// it returns the partial answer with a truncation marker rather than an
-// error (see handleQuery).
-const maxSiteGatherRounds = 64
 
 // Metrics exposes a site's counters to the harness.
 type Metrics struct {
@@ -308,13 +298,15 @@ type siteState struct {
 // atomically; because each writer starts from the version the previous
 // writer published, no writer can lose another's changes.
 type Site struct {
-	cfg        Config
-	log        *slog.Logger
-	cpu        *transport.CPU
-	compiler   *qeg.Compiler
-	call       *transport.Caller
-	flights    *flightGroup[subResult]
-	aggFlights *flightGroup[aggResult]
+	cfg      Config
+	log      *slog.Logger
+	cpu      *transport.CPU
+	compiler *qeg.Compiler
+	call     *transport.Caller
+	// raw and agg are the subquery dispatcher's two answer kinds
+	// (dispatch.go): fragment answers and partial-aggregate answers.
+	raw *dispatcher[struct{}]
+	agg *dispatcher[aggAnswer]
 
 	// summaries is the aggregate summary cache: combined partial-aggregate
 	// answers kept by caching sites so repeated aggregate queries skip the
@@ -344,10 +336,6 @@ type Site struct {
 	wmu   sync.Mutex
 	state atomic.Pointer[siteState]
 
-	// coarse reinstates read/write serialization when cfg.CoarseLocking is
-	// set (benchmark baseline only); otherwise it is never touched.
-	coarse sync.RWMutex
-
 	Metrics Metrics
 }
 
@@ -368,11 +356,11 @@ func New(cfg Config, rootName, rootID string) *Site {
 		log:          cfg.Logger,
 		cpu:          transport.NewCPU(cfg.CPUSlots),
 		compiler:     qeg.NewCompiler(cfg.Schema, cfg.NaivePlans),
-		flights:      newFlightGroup[subResult](),
-		aggFlights:   newFlightGroup[aggResult](),
 		stopPressure: make(chan struct{}),
 		subs:         map[string]*replicaSub{},
 	}
+	s.raw = newRawDispatcher(s)
+	s.agg = newAggDispatcher(s)
 	s.repl = newReplicator(s)
 	if cfg.Caching && cfg.CacheBudgetBytes > 0 {
 		s.cache = newCacheManager()
@@ -639,271 +627,75 @@ func (s *Site) Handle(ctx context.Context, payload []byte) ([]byte, error) {
 	return resp.Encode(), nil
 }
 
-// handleQuery runs the full query-evaluate-gather loop for a query or
-// subquery arriving at this site and returns the assembled answer fragment.
-// Subquery failures do not fail the query: the affected subtree is spliced
-// in as an unreachable placeholder and listed in the result's Unreachable
-// paths (partial answers).
+// handleQuery runs the full query-evaluate-gather loop (qeg.Gather) for a
+// query or subquery arriving at this site and returns the assembled answer
+// fragment. Subquery failures do not fail the query: the affected subtree
+// is spliced in as an unreachable placeholder and listed in the result's
+// Unreachable paths (partial answers).
 //
-// pinned, when non-nil, is the sealed snapshot every plan evaluates against
+// pinned, when non-nil, is the sealed snapshot the plans evaluate against
 // — batch entries share one snapshot so all entries of a batch answer from
-// a single consistent version. Nil loads the latest published snapshot per
-// plan, the behavior for individually arriving queries.
+// a single consistent version. Nil loads the latest published snapshot.
 func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinned *fragment.Store) *Message {
-	// Tracing: a TraceID on the query makes this hop record a span. The
-	// per-hop retry/deadline tallies ride in the context so concurrent
-	// queries do not race on the site-wide counters.
-	var span *trace.Span
-	var stats *transport.CallStats
-	if msg.TraceID != "" {
-		span = &trace.Span{TraceID: msg.TraceID, Site: s.cfg.Name, Query: msg.Query, Op: "query", BytesIn: reqBytes}
-		ctx, stats = transport.WithCallStats(ctx)
-	}
-
-	// Stale-DNS forwarding (Section 4): if the query targets a subtree this
-	// site delegated away, pass it to the new owner rather than serving a
-	// stale copy — the old owner "has the correct DNS entry in its cache".
-	if to, ok := s.forwardTarget(msg.Query); ok {
-		s.Metrics.Forwards.Inc()
-		t0 := time.Now()
-		msg.StampDeadline(ctx)
-		respB, err := s.call.Call(ctx, to, msg.Encode())
-		if err != nil {
-			return errorMessage(fmt.Errorf("site %s: forwarding to %s: %w", s.cfg.Name, to, err))
-		}
-		resp, err := DecodeMessage(respB)
-		if err != nil {
-			return errorMessage(err)
-		}
-		s.log.LogAttrs(ctx, slog.LevelDebug, "query forwarded",
-			slog.String("trace_id", msg.TraceID), slog.String("to", to),
-			slog.Duration("dur", time.Since(t0)))
-		if span != nil {
-			span.Op = "forward"
-			span.DurationUS = time.Since(t0).Microseconds()
-			finishSpan(span, stats)
-			if resp.Span != nil {
-				span.Children = append(span.Children, resp.Span)
-			}
-			resp.Span = span
-		}
+	ctx, h := s.startHop(ctx, msg, "query", reqBytes)
+	if resp, ok := s.forward(ctx, h, msg, msg.Query); ok {
 		return resp
 	}
-
 	s.Metrics.Queries.Inc()
-	t0 := time.Now()
 
 	// Plan creation (Figure 11: "Creating the XSLT query").
 	var plans []*qeg.Plan
-	var planErr error
-	s.cpu.Do(func() {
-		plans, planErr = s.compiler.Compile(msg.Query)
-	})
-	planTime := time.Since(t0)
-	s.Metrics.Breakdown.Add("create-plan", planTime)
-	if planErr != nil {
-		return errorMessage(planErr)
+	var err error
+	s.cpu.Do(func() { plans, err = s.compiler.Compile(msg.Query) })
+	h.plan = time.Since(h.t0)
+	s.Metrics.Breakdown.Add("create-plan", h.plan)
+	if err != nil {
+		return errorMessage(err)
 	}
 
+	// Staleness ledger: Gather merges into it exactly the evaluation rounds
+	// whose local result joins the answer.
 	opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, NoIndex: s.cfg.DisableIndex}
-	ans := fragment.NewStore(s.rootName(), s.rootID())
-	seen := map[string]bool{}
-	unreachable := map[string]bool{}
-	askedAny := false
-	truncated := false
-	fanout := 0
-
-	// Staleness ledger: prov aggregates provenance across plans and gather
-	// rounds; only the rounds whose local result actually merges into the
-	// answer contribute (intermediate nested rounds re-read the same units).
-	var prov *qeg.Provenance
 	if !s.cfg.DisableFreshnessLedger {
-		prov = qeg.NewProvenance(s.cfg.Clock())
+		h.prov = *qeg.NewProvenance(s.cfg.Clock())
+		opts.Prov = &h.prov
 	}
-	var fetchedBytes int64
-
-	var execTime, commTime time.Duration
-	for _, plan := range plans {
-		// One atomic load pins this plan's snapshot; evaluation runs
-		// lock-free against the sealed version. Nested plans evaluate a
-		// deep working copy (they splice sub-answers into it between
-		// rounds and may navigate parent axes, which structural sharing
-		// does not preserve).
-		snap := pinned
-		if snap == nil {
-			snap = s.state.Load().store
-		}
-		var work *fragment.Store // nil = evaluate the published snapshot
-		if plan.NestedIdx >= 0 {
-			work = snap.Clone()
-		}
-		for round := 0; ; round++ {
-			var res *qeg.Result
-			var evalErr error
-			if prov != nil {
-				opts.Prov = qeg.NewProvenance(prov.Now())
-			}
-			te := time.Now()
-			s.cpu.Do(func() {
-				if work != nil {
-					res, evalErr = qeg.Evaluate(work, plan, opts)
-				} else if s.cfg.CoarseLocking {
-					s.coarse.RLock()
-					res, evalErr = qeg.Evaluate(snap, plan, opts)
-					s.coarse.RUnlock()
-				} else {
-					res, evalErr = qeg.Evaluate(snap, plan, opts)
-				}
-				if s.cfg.QueryWork > 0 || s.cfg.PerNodeWork > 0 {
-					cost := s.cfg.QueryWork
-					if s.cfg.PerNodeWork > 0 && res != nil {
-						cost += time.Duration(res.Nodes) * s.cfg.PerNodeWork
-					}
-					spin(cost)
-				}
-			})
-			execTime += time.Since(te)
-			if evalErr != nil {
-				return errorMessage(evalErr)
-			}
-
-			var fresh []qeg.Subquery
-			for _, sq := range res.Subqueries {
-				if !seen[sq.Key()] {
-					seen[sq.Key()] = true
-					fresh = append(fresh, sq)
-				}
-			}
-			if len(fresh) == 0 {
-				s.cpu.Do(func() {
-					evalErr = ans.MergeFragment(res.Fragment)
-				})
-				if evalErr != nil {
-					return errorMessage(fmt.Errorf("site %s: merging local result: %w", s.cfg.Name, evalErr))
-				}
-				if prov != nil {
-					prov.Merge(opts.Prov)
-				}
-				break
-			}
-			if round >= maxSiteGatherRounds {
-				// The evaluate/fetch fixpoint did not converge within the
-				// round bound. Return the partial answer with an explicit
-				// truncation marker — everything gathered so far plus
-				// unreachable markers for the still-pending subtrees —
-				// instead of discarding the work (gather truncation).
-				s.cpu.Do(func() {
-					evalErr = ans.MergeFragment(res.Fragment)
-				})
-				if evalErr != nil {
-					return errorMessage(fmt.Errorf("site %s: merging truncated result: %w", s.cfg.Name, evalErr))
-				}
-				if prov != nil {
-					prov.Merge(opts.Prov)
-				}
-				for _, sq := range fresh {
-					if merr := s.markUnreachable(ans, unreachable, sq.Target); merr != nil {
-						return errorMessage(fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, sq.Target, merr))
-					}
-				}
-				truncated = true
-				s.log.LogAttrs(ctx, slog.LevelWarn, "gather truncated",
-					slog.String("trace_id", msg.TraceID), slog.String("query", clipQuery(msg.Query)),
-					slog.Int("rounds", round), slog.Int("pending", len(fresh)))
-				break
-			}
-			askedAny = true
-			fanout += len(fresh)
-			// Subqueries address disjoint parts of the hierarchy; the
-			// dispatcher fetches them concurrently, coalescing duplicate
-			// in-flight fetches and batching per destination site (the
-			// splice itself stays serialized).
-			tc := time.Now()
-			results, batchSpans := s.dispatchSubqueries(ctx, fresh, msg.TraceID)
-			commTime += time.Since(tc)
-			if span != nil {
-				span.Children = append(span.Children, batchSpans...)
-				for _, r := range results {
-					if r.span != nil {
-						span.Children = append(span.Children, r.span)
-					}
-				}
-			}
-			for i, r := range results {
-				sub := r.frag
-				if r.err == nil {
-					fetchedBytes += int64(r.bytes)
-				}
-				if r.err != nil {
-					// Partial answer: the target's owner did not respond
-					// within the remaining budget. Splice an unreachable
-					// placeholder instead of failing the whole query; the
-					// seen-set guarantees the subquery is not reissued.
-					if merr := s.markUnreachable(ans, unreachable, fresh[i].Target); merr != nil {
-						return errorMessage(fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, fresh[i].Target, merr))
-					}
-					continue
-				}
-				// The site-cache merge already happened in the dispatch
-				// layer, before the fetch's flight retired (dispatch.go);
-				// only the answer (and working copy) splices remain.
-				var mergeErr error
-				s.cpu.Do(func() {
-					if work != nil {
-						mergeErr = work.MergeFragment(sub)
-					}
-					if mergeErr == nil {
-						mergeErr = ans.MergeFragment(sub)
-					}
-				})
-				if mergeErr != nil {
-					return errorMessage(fmt.Errorf("site %s: splicing subanswer: %w", s.cfg.Name, mergeErr))
-				}
-				// Unreachable markers carry no data, so merging drops them;
-				// re-apply the downstream site's partial-answer list here.
-				for _, us := range r.downs {
-					p, perr := xmldb.ParseIDPath(us)
-					if perr != nil {
-						continue
-					}
-					if merr := s.markUnreachable(ans, unreachable, p); merr != nil {
-						return errorMessage(fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, p, merr))
-					}
-				}
-			}
-			if work == nil {
-				// Depth-0 plans finish after one fetch round: every
-				// subanswer is complete for its scope by induction.
-				var mergeErr error
-				s.cpu.Do(func() {
-					mergeErr = ans.MergeFragment(res.Fragment)
-				})
-				if mergeErr != nil {
-					return errorMessage(fmt.Errorf("site %s: merging local result: %w", s.cfg.Name, mergeErr))
-				}
-				if prov != nil {
-					prov.Merge(opts.Prov)
-				}
-				break
-			}
-		}
+	// One atomic load pins the snapshot; evaluation runs lock-free against
+	// the sealed version.
+	snap := pinned
+	if snap == nil {
+		snap = s.state.Load().store
 	}
-	if !askedAny {
-		s.Metrics.CacheHits.Inc()
-	} else {
-		s.Metrics.CacheMisses.Inc()
+	// The gather loop holds one CPU slot, except while it waits on
+	// subqueries (hop.Fetch releases it). Waiting for the slot counts as
+	// execute-qeg.
+	tw := time.Now()
+	s.cpu.Acquire()
+	h.exec += time.Since(tw)
+	g, err := qeg.Gather(ctx, snap, plans, h, opts)
+	s.cpu.Release()
+	if err != nil {
+		var trunc *qeg.TruncatedError
+		if !errors.As(err, &trunc) {
+			return errorMessage(fmt.Errorf("site %s: %w", s.cfg.Name, err))
+		}
+		// The partial answer stands, with the pending subtrees marked
+		// unreachable and the Truncated flag set.
+		s.log.LogAttrs(ctx, slog.LevelWarn, "gather truncated",
+			slog.String("trace_id", msg.TraceID), slog.String("query", clipQuery(msg.Query)),
+			slog.Int("rounds", trunc.Rounds), slog.Int("pending", len(trunc.Pending)))
 	}
+	h.exec += g.EvalTime
 	if s.cache != nil {
 		// Refresh the recency of every cached unit this answer used, so the
 		// budget policy evicts the units queries are not asking for.
-		s.cache.touchAnswer(ans.Root, s.cfg.Clock())
+		s.cache.touchAnswer(g.Answer.Root, s.cfg.Clock())
 	}
-	s.Metrics.Breakdown.Add("execute-qeg", execTime)
-	s.Metrics.Breakdown.Add("communication", commTime)
 
 	var freshness *trace.FreshnessReport
+	prov := opts.Prov
 	if prov != nil {
-		freshness = freshnessReport(prov, fetchedBytes)
+		freshness = freshnessReport(prov, g.FetchedBytes)
 		if lag, ok := s.replicaLagForQuery(msg.Query); ok {
 			// The answer came (at least partly) from replicated data: record
 			// how far behind the owner this site was when it served.
@@ -916,49 +708,23 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 		}
 		s.Metrics.AnswerCacheBytes.Add(prov.CachedBytes)
 		s.Metrics.AnswerOwnedBytes.Add(prov.OwnedBytes)
-		s.Metrics.AnswerFetchedBytes.Add(fetchedBytes)
+		s.Metrics.AnswerFetchedBytes.Add(g.FetchedBytes)
 	}
 
-	var out string
-	s.cpu.Do(func() {
-		out = ans.Root.StringSized(ans.Size())
-	})
-	total := time.Since(t0)
-	s.Metrics.Breakdown.Add("rest", total-execTime-commTime)
-	res := &Message{Kind: KindResult, Fragment: out, Truncated: truncated}
-	if len(unreachable) > 0 {
-		s.Metrics.PartialAnswers.Inc()
-		res.Unreachable = make([]string, 0, len(unreachable))
-		for k := range unreachable {
-			res.Unreachable = append(res.Unreachable, k)
-		}
-		sort.Strings(res.Unreachable)
-	}
-	if span != nil {
-		span.DurationUS = total.Microseconds()
-		span.AddStage("create-plan", planTime)
-		span.AddStage("execute-qeg", execTime)
-		span.AddStage("communication", commTime)
-		span.AddStage("rest", total-execTime-commTime)
-		span.CacheHit = !askedAny
-		span.Subqueries = fanout
-		span.BytesOut = len(out)
-		span.Partial = len(res.Unreachable) > 0
-		span.Unreachable = res.Unreachable
-		span.Truncated = truncated
-		span.Freshness = freshness
-		finishSpan(span, stats)
-		res.Span = span
-	}
+	var frag string
+	s.cpu.Do(func() { frag = g.Answer.Root.StringSized(g.Answer.Size()) })
+	res := &Message{Kind: KindResult, Fragment: frag, Truncated: g.Truncated}
+	cacheHit := g.Fanout == 0
+	total := s.finishHop(h, res, g.Unreachable, cacheHit, g.Fanout, freshness)
 	s.log.LogAttrs(ctx, slog.LevelDebug, "query served",
 		slog.String("trace_id", msg.TraceID), slog.Duration("dur", total),
-		slog.Bool("cache_hit", !askedAny), slog.Int("fanout", fanout),
+		slog.Bool("cache_hit", cacheHit), slog.Int("fanout", g.Fanout),
 		slog.Int("unreachable", len(res.Unreachable)))
 	if s.cfg.SlowQueryThreshold > 0 && total >= s.cfg.SlowQueryThreshold {
 		s.log.LogAttrs(ctx, slog.LevelWarn, "slow query",
 			slog.String("trace_id", msg.TraceID), slog.String("query", clipQuery(msg.Query)),
 			slog.Duration("dur", total), slog.Duration("threshold", s.cfg.SlowQueryThreshold),
-			slog.Bool("cache_hit", !askedAny), slog.Int("fanout", fanout))
+			slog.Bool("cache_hit", cacheHit), slog.Int("fanout", g.Fanout))
 	}
 	if prov != nil && s.cfg.StaleAnswerThreshold > 0 && prov.AgeMax >= s.cfg.StaleAnswerThreshold.Seconds() {
 		attrs := []slog.Attr{
@@ -972,6 +738,157 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 		s.log.LogAttrs(ctx, slog.LevelWarn, "stale answer", attrs...)
 	}
 	return res
+}
+
+// chargeEval holds the caller's CPU slot for the modeled cost of one
+// evaluation whose result fragment has the given node count (see
+// Config.QueryWork and PerNodeWork).
+func (s *Site) chargeEval(nodes int) {
+	if s.cfg.QueryWork > 0 || s.cfg.PerNodeWork > 0 {
+		spin(s.cfg.QueryWork + time.Duration(nodes)*s.cfg.PerNodeWork)
+	}
+}
+
+// hop is the per-message bookkeeping both query handlers share: the span
+// (nil when untraced), the per-hop retry tallies, and the Figure 10 stage
+// timings. For a raw query it is also the site's side of the qeg.Gather
+// loop (the qeg.Fetcher).
+type hop struct {
+	s                *Site
+	traceID          string
+	span             *trace.Span
+	stats            *transport.CallStats
+	t0               time.Time
+	plan, exec, comm time.Duration
+	// prov backs the answer's freshness ledger (opts.Prov). It lives in
+	// the hop because a handler-local ledger escapes to the heap: one more
+	// allocation per query.
+	prov qeg.Provenance
+}
+
+// startHop opens a hop. A TraceID on the message makes the hop record a
+// span; the per-hop retry/deadline tallies ride in the context so
+// concurrent queries do not race on the site-wide counters.
+func (s *Site) startHop(ctx context.Context, msg *Message, op string, reqBytes int) (context.Context, *hop) {
+	h := &hop{s: s, traceID: msg.TraceID, t0: time.Now()}
+	if msg.TraceID != "" {
+		h.span = &trace.Span{TraceID: msg.TraceID, Site: s.cfg.Name, Query: msg.Query, Op: op, BytesIn: reqBytes}
+		ctx, h.stats = transport.WithCallStats(ctx)
+	}
+	return ctx, h
+}
+
+// Evaluated charges the modeled cost of one gather-loop evaluation.
+func (h *hop) Evaluated(res *qeg.Result) { h.s.chargeEval(res.Nodes) }
+
+// Fetch resolves one gather round's subqueries through the raw dispatcher
+// with the hop's CPU slot released, so a blocked subquery does not consume
+// local capacity. Waiting to take the slot back counts as execute-qeg.
+func (h *hop) Fetch(ctx context.Context, sqs []qeg.Subquery) []qeg.Fetched {
+	h.s.cpu.Release()
+	t0 := time.Now()
+	results, batchSpans := h.s.raw.dispatch(ctx, sqs, h.traceID)
+	t1 := time.Now()
+	h.comm += t1.Sub(t0)
+	h.s.cpu.Acquire()
+	h.exec += time.Since(t1)
+	if h.span != nil {
+		h.span.Children = append(h.span.Children, batchSpans...)
+	}
+	// The site-cache merge already happened in the dispatcher, before each
+	// fetch's flight retired; only the answer splice remains.
+	out := make([]qeg.Fetched, len(results))
+	for i, r := range results {
+		if h.span != nil && r.span != nil {
+			h.span.Children = append(h.span.Children, r.span)
+		}
+		out[i] = r.Fetched
+	}
+	return out
+}
+
+// forward implements stale-DNS forwarding (Section 4): a message whose
+// scope lies in a subtree this site delegated away goes to the new owner
+// rather than being served from a stale copy — the old owner "has the
+// correct DNS entry in its cache". ok is false when nothing was forwarded.
+func (s *Site) forward(ctx context.Context, h *hop, msg *Message, scope string) (*Message, bool) {
+	to, ok := s.forwardTarget(scope)
+	if !ok {
+		return nil, false
+	}
+	s.Metrics.Forwards.Inc()
+	msg.StampDeadline(ctx)
+	respB, err := s.call.Call(ctx, to, msg.Encode())
+	if err != nil {
+		return errorMessage(fmt.Errorf("site %s: forwarding to %s: %w", s.cfg.Name, to, err)), true
+	}
+	resp, err := DecodeMessage(respB)
+	if err != nil {
+		return errorMessage(err), true
+	}
+	dur := time.Since(h.t0)
+	s.log.LogAttrs(ctx, slog.LevelDebug, "query forwarded",
+		slog.String("trace_id", msg.TraceID), slog.String("to", to), slog.Duration("dur", dur))
+	if h.span != nil {
+		h.span.Op = "forward"
+		h.span.DurationUS = dur.Microseconds()
+		finishSpan(h.span, h.stats)
+		if resp.Span != nil {
+			h.span.Children = append(h.span.Children, resp.Span)
+		}
+		resp.Span = h.span
+	}
+	return resp, true
+}
+
+// finishHop completes the shared tail of a served query or aggregate: the
+// hit/miss counters, the Figure 10 breakdown, the partial-answer list and
+// the span. It returns the hop's total handling time.
+func (s *Site) finishHop(h *hop, res *Message, unreachable []string, cacheHit bool, fanout int, fr *trace.FreshnessReport) time.Duration {
+	if cacheHit {
+		s.Metrics.CacheHits.Inc()
+	} else {
+		s.Metrics.CacheMisses.Inc()
+	}
+	total := time.Since(h.t0)
+	rest := total - h.exec - h.comm
+	s.Metrics.Breakdown.Add("execute-qeg", h.exec)
+	s.Metrics.Breakdown.Add("communication", h.comm)
+	s.Metrics.Breakdown.Add("rest", rest)
+	if len(unreachable) > 0 {
+		s.Metrics.PartialAnswers.Inc()
+		res.Unreachable = unreachable
+	}
+	if sp := h.span; sp != nil {
+		sp.DurationUS = total.Microseconds()
+		sp.AddStage("create-plan", h.plan)
+		sp.AddStage("execute-qeg", h.exec)
+		sp.AddStage("communication", h.comm)
+		sp.AddStage("rest", rest)
+		sp.CacheHit = cacheHit
+		sp.Subqueries = fanout
+		sp.BytesOut = len(res.Fragment)
+		sp.Partial = len(unreachable) > 0
+		sp.Unreachable = res.Unreachable
+		sp.Truncated = res.Truncated
+		sp.Freshness = fr
+		finishSpan(sp, h.stats)
+		res.Span = sp
+	}
+	return total
+}
+
+// sortedKeys returns a set's keys in order (nil for an empty set).
+func sortedKeys(set map[string]bool) []string {
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // clipQuery bounds query text in log records.
@@ -1014,10 +931,6 @@ func freshnessReport(p *qeg.Provenance, fetchedBytes int64) *trace.FreshnessRepo
 // transaction, so no published version exceeds the budget by more than the
 // units in-flight fetches are actively installing (cache.go).
 func (s *Site) mergeCache(frag *xmldb.Node) error {
-	if s.cfg.CoarseLocking {
-		s.coarse.Lock()
-		defer s.coarse.Unlock()
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	st := s.state.Load()
@@ -1051,80 +964,6 @@ func finishSpan(span *trace.Span, stats *transport.CallStats) {
 		span.Retries = stats.Retries.Load()
 		span.DeadlineHits = stats.DeadlineHits.Load()
 	}
-}
-
-// markUnreachable splices an unreachable placeholder for the path into the
-// answer fragment and records it in the result's unreachable set.
-func (s *Site) markUnreachable(ans *fragment.Store, set map[string]bool, p xmldb.IDPath) error {
-	var err error
-	s.cpu.Do(func() {
-		err = ans.MarkUnreachable(p)
-	})
-	if err != nil {
-		return err
-	}
-	set[p.Key()] = true
-	return nil
-}
-
-// fetchSubquery routes one subquery to the owner of its target node,
-// retrying transient failures within the context's deadline. It returns the
-// answer fragment, the remote site's own unreachable-path list (partial
-// answers compose across hops), and — when traceID is set — the remote
-// hop's span (a synthetic error span when the fetch failed, so the trace
-// tree still shows where a partial answer lost its subtree). CPU is
-// consumed for encode/decode; the network wait itself is not billed to
-// this site's capacity.
-func (s *Site) fetchSubquery(ctx context.Context, sq qeg.Subquery, traceID string) (*xmldb.Node, []string, int, *trace.Span, error) {
-	s.Metrics.Subqueries.Inc()
-	s.Metrics.SubqueryRPCs.Inc()
-	errSpan := func(site string, err error) *trace.Span {
-		if traceID == "" {
-			return nil
-		}
-		return &trace.Span{TraceID: traceID, Site: site, Query: sq.Query, Op: "query", Error: err.Error()}
-	}
-	owner, err := s.cfg.DNS.Resolve(sq.Target)
-	if err != nil {
-		err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, sq.Target, err)
-		return nil, nil, 0, errSpan(sq.Target.String(), err), err
-	}
-	var payload []byte
-	s.cpu.Do(func() {
-		m := &Message{Kind: KindQuery, Query: sq.Query, TraceID: traceID}
-		m.StampDeadline(ctx)
-		payload = m.Encode()
-	})
-	respB, err := s.call.Call(ctx, owner, payload)
-	if err != nil {
-		err = fmt.Errorf("site %s: calling %s: %w", s.cfg.Name, owner, err)
-		return nil, nil, 0, errSpan(owner, err), err
-	}
-	var frag *xmldb.Node
-	var unreachable []string
-	var childSpan *trace.Span
-	var fragBytes int
-	var derr error
-	s.cpu.Do(func() {
-		var resp *Message
-		resp, derr = DecodeMessage(respB)
-		if derr != nil {
-			return
-		}
-		if e := resp.AsError(); e != nil {
-			derr = e
-			return
-		}
-		unreachable = resp.Unreachable
-		childSpan = resp.Span
-		fragBytes = len(resp.Fragment)
-		frag, derr = xmldb.ParseString(resp.Fragment)
-	})
-	if derr != nil {
-		derr = fmt.Errorf("site %s: subanswer from %s: %w", s.cfg.Name, owner, derr)
-		return nil, nil, 0, errSpan(owner, derr), derr
-	}
-	return frag, unreachable, fragBytes, childSpan, nil
 }
 
 // handleUpdate applies a sensor update to an owned node, stamping it with
@@ -1193,10 +1032,6 @@ func (s *Site) updateCost() {
 // update applied, returning the commit's WAL LSN (0 when not durable).
 // Callers hold wmu; st is the version they loaded under it.
 func (s *Site) applyUpdateLocked(st *siteState, p xmldb.IDPath, fields, attrs map[string]string) (uint64, error) {
-	if s.cfg.CoarseLocking {
-		s.coarse.Lock()
-		defer s.coarse.Unlock()
-	}
 	ts := s.cfg.Clock()
 	w := st.store.Begin()
 	if err := w.ApplyUpdate(p, fields, attrs, ts); err != nil {
@@ -1232,14 +1067,6 @@ func (s *Site) forwardTarget(query string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func (s *Site) rootName() string {
-	return s.state.Load().store.Root.Name
-}
-
-func (s *Site) rootID() string {
-	return s.state.Load().store.Root.ID()
 }
 
 // copyOwned returns a private copy of an owned table about to change.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-regression gate: benchmarks the tier-1 hot paths (snapshot queries,
-# wire serialization) on this checkout and on its merge base, then fails if
-# any gated benchmark's median ns/op regressed more than THRESHOLD percent.
+# one query message through a site's handler, wire serialization) on this
+# checkout and on its merge base, then fails if any gated benchmark's median
+# ns/op regressed more than THRESHOLD percent.
 # benchstat, when installed, renders the statistical comparison into the
 # artifact directory; the pass/fail verdict comes from cmd/benchgate, which
 # needs nothing beyond the Go toolchain, so the gate runs identically in CI
@@ -18,8 +19,8 @@ COUNT="${COUNT:-6}"
 BENCHTIME="${BENCHTIME:-100ms}"
 THRESHOLD="${THRESHOLD:-15}"
 OUT="${OUT:-bench_gate}"
-PATTERN='BenchmarkSnapshotQuery|BenchmarkSerialize|BenchmarkAggregateCompute|BenchmarkReplicaApplyDelta|BenchmarkWALAppend|BenchmarkWALReplay'
-ALL_PKGS=(./internal/site ./internal/xmldb ./internal/qeg ./internal/fragment ./internal/wal)
+PATTERN='BenchmarkSnapshotQuery|BenchmarkSiteQueryMessage|BenchmarkSerialize|BenchmarkAggregateCompute|BenchmarkReplicaApplyDelta|BenchmarkWALAppend|BenchmarkWALReplay'
+ALL_PKGS=(. ./internal/site ./internal/xmldb ./internal/qeg ./internal/fragment ./internal/wal)
 
 # pkgs_for <tree>: the subset of ALL_PKGS that exists in that checkout, so
 # the gate keeps working while a benchmark's package is newer than the merge
