@@ -15,9 +15,9 @@ import (
 
 // runLocalEval measures the cache-conscious fragment index (BENCH_PR6,
 // DESIGN.md §12): the same plans evaluated on one sealed snapshot through
-// the indexed fast path and through the tree walker (the DisableIndex
-// baseline the site layer exposes). Three arms cover the shapes the index
-// targets: a fully specified child path, a deep descendant scan, and a
+// the indexed fast path and through the tree walker (the qeg.Options
+// NoIndex baseline). Three arms cover the shapes the index targets: a
+// fully specified child path, a deep descendant scan, and a
 // predicate-heavy descendant scan.
 //
 // Acceptance (machine-checked, used as a CI gate):

@@ -116,9 +116,6 @@ type Config struct {
 	// batching per destination site (the irisbench batching baseline). See
 	// site.Config.DisableBatching.
 	DisableBatching bool
-	// BatchByteCap caps one batch message's encoded payload; zero uses
-	// site.DefaultBatchByteCap.
-	BatchByteCap int
 	// DisableCoalescing turns off single-flight deduplication of identical
 	// in-flight subqueries at caching sites.
 	DisableCoalescing bool
@@ -253,7 +250,6 @@ func (c *Cluster) siteConfig(name string) site.Config {
 		CallTimeout:       cfg.CallTimeout,
 		Retry:             cfg.Retry,
 		DisableBatching:   cfg.DisableBatching,
-		BatchByteCap:      cfg.BatchByteCap,
 		DisableCoalescing: cfg.DisableCoalescing,
 
 		DisableFreshnessLedger: cfg.DisableFreshnessLedger,

@@ -215,9 +215,11 @@ func TestInstallAndEvict(t *testing.T) {
 		t.Fatal("local info attributes missing")
 	}
 	// Evict back down to id-complete.
-	if err := s.EvictLocalInfo(oakPath); err != nil {
+	w := s.Begin()
+	if err := w.EvictLocalInfo(oakPath); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	n = s.NodeAt(oakPath)
 	if StatusOf(n) != StatusIDComplete {
 		t.Fatalf("status after evict = %v", StatusOf(n))
@@ -232,13 +234,15 @@ func TestInstallAndEvict(t *testing.T) {
 		t.Fatal("non-IDable children must be evicted with local info")
 	}
 	// Evicting again fails (not complete anymore).
-	if err := s.EvictLocalInfo(oakPath); err == nil {
+	if err := s.Begin().EvictLocalInfo(oakPath); err == nil {
 		t.Fatal("double evict should fail")
 	}
 	// Subtree eviction drops to a bare stub.
-	if err := s.EvictSubtree(oakPath); err != nil {
+	w = s.Begin()
+	if err := w.EvictSubtree(oakPath); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	n = s.NodeAt(oakPath)
 	if StatusOf(n) != StatusIncomplete || len(n.Children) != 0 {
 		t.Fatalf("after subtree evict: %v children=%d", StatusOf(n), len(n.Children))
@@ -253,23 +257,23 @@ func TestEvictRefusesOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := stores["s1"]
-	if err := s.EvictLocalInfo(path(t, oaklandPath)); err == nil {
+	if err := s.Begin().EvictLocalInfo(path(t, oaklandPath)); err == nil {
 		t.Fatal("evicting owned local info must fail")
 	}
-	if err := s.EvictSubtree(path(t, oaklandPath)); err == nil {
+	if err := s.Begin().EvictSubtree(path(t, oaklandPath)); err == nil {
 		t.Fatal("evicting owned subtree must fail")
 	}
-	if err := s.EvictSubtree(path(t, "/usRegion[@id='NE']")); err == nil {
+	if err := s.Begin().EvictSubtree(path(t, "/usRegion[@id='NE']")); err == nil {
 		t.Fatal("evicting the root must fail")
 	}
 }
 
 func TestEvictMissing(t *testing.T) {
 	s := NewStore("usRegion", "NE")
-	if err := s.EvictLocalInfo(path(t, oaklandPath)); err == nil {
+	if err := s.Begin().EvictLocalInfo(path(t, oaklandPath)); err == nil {
 		t.Fatal("evicting a missing node must fail")
 	}
-	if err := s.EvictSubtree(path(t, oaklandPath)); err == nil {
+	if err := s.Begin().EvictSubtree(path(t, oaklandPath)); err == nil {
 		t.Fatal("evicting a missing subtree must fail")
 	}
 }
@@ -633,10 +637,12 @@ func TestPropertyEvictionMaintainsInvariants(t *testing.T) {
 		walk(dst.Root, xmldb.IDPath{{Name: dst.Root.Name, ID: dst.Root.ID()}})
 		for _, p := range cached {
 			if r.Intn(2) == 0 {
-				if err := dst.EvictLocalInfo(p); err != nil {
+				w := dst.Begin()
+				if err := w.EvictLocalInfo(p); err != nil {
 					t.Logf("seed %d: evict %s: %v", seed, p, err)
 					return false
 				}
+				dst = w.Commit()
 			}
 		}
 		if errs := CheckInvariants(dst, d, owned[sites[1]], false); len(errs) > 0 {

@@ -82,19 +82,25 @@ func TestCachedBytesIncrementalStore(t *testing.T) {
 	}
 	checkAccounting(t, s, "reinstall a, b")
 
-	if err := s.EvictLocalInfo(bP); err != nil {
+	w := s.Begin()
+	if err := w.EvictLocalInfo(bP); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	checkAccounting(t, s, "evict b local info")
 
-	if err := s.EvictSubtree(aP); err != nil {
+	w = s.Begin()
+	if err := w.EvictSubtree(aP); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	checkAccounting(t, s, "evict a subtree")
 
-	if err := s.EvictLocalInfo(rootP); err != nil {
+	w = s.Begin()
+	if err := w.EvictLocalInfo(rootP); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	checkAccounting(t, s, "evict root local info")
 	if s.CachedBytes() != 0 {
 		t.Fatalf("CachedBytes=%d after evicting everything, want 0", s.CachedBytes())

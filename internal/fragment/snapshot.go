@@ -30,28 +30,42 @@ func sortedKeys(m map[string]string) []string {
 // Commit seals the new version; the site publishes it with one atomic
 // pointer store.
 //
+// The COW mutators are the only fragment mutators. They run in one of two
+// modes that differ in a single predicate, owns: in copy mode (Begin) a
+// node is writable only once the transaction has path-copied or created
+// it; in place mode (Store.edit) every node of the private, unsealed store
+// is writable, so the same code edits it directly. The mutable Store entry
+// points (MergeFragment, InstallLocalInfo, InstallLocalIDInfo) are the
+// sealed-store guard plus an in-place transaction; answer stores, fragment
+// builders and Partition use them.
+//
 // Shared nodes keep their Parent pointers into the version they were
-// created in. That is deliberate: old versions are immutable, and the
-// element names and ids along any spine never change across versions, so
-// upward navigation from a shared node still describes the correct ID
+// created in. Readers are safe with that: old versions are immutable, and
+// the element names and ids along any spine never change across versions,
+// so upward navigation from a shared node still describes the correct ID
 // path. The query engine itself never navigates upward on a snapshot —
 // plans whose predicates use parent/ancestor axes are classified nested
 // (Plan.NestedIdx >= 0) and evaluated on a deep Clone with consistent
-// parent pointers.
+// parent pointers. The cost is memory: a shared node's Parent keeps the
+// older version it points into reachable, so under steady cache churn the
+// superseded spines are not collected while any descendant is shared.
 //
 // A COW transaction is single-goroutine; the site serializes writers with
 // a mutex so concurrent writers cannot lose each other's changes (each
 // transaction begins from the latest published version).
 
 // COW is an in-progress copy-on-write transaction producing the next
-// version of a sealed store.
+// version of a sealed store, or an in-place edit of a private store.
 type COW struct {
 	out *Store
 	// fresh marks nodes owned by this transaction: safe to mutate, their
 	// Parent pointers are consistent within out. Everything else reachable
 	// from out.Root is shared with previous versions and must not be
-	// written.
+	// written. Unused in place.
 	fresh map[*xmldb.Node]bool
+	// inPlace makes every node of out writable: the store is private and
+	// unsealed, so there is no previous version to protect.
+	inPlace bool
 	// base is the version the transaction started from; used by Commit to
 	// carry the base's cache-conscious index forward cheaply.
 	base *Store
@@ -78,6 +92,14 @@ func (s *Store) Begin() *COW {
 	}
 	return &COW{out: out, fresh: map[*xmldb.Node]bool{root: true}, base: s}
 }
+
+// edit opens an in-place transaction on a private, unsealed store: the
+// mutators below write its nodes directly. It is never committed; callers
+// check s.mutable() first.
+func (s *Store) edit() *COW { return &COW{out: s, inPlace: true} }
+
+// owns reports whether n may be written by this transaction.
+func (w *COW) owns(n *xmldb.Node) bool { return w.inPlace || w.fresh[n] }
 
 // Commit seals and returns the new version. The transaction must not be
 // used afterwards.
@@ -117,9 +139,9 @@ func cowCopy(n *xmldb.Node, parent *xmldb.Node) *xmldb.Node {
 
 // freshChild returns a writable copy of child under the (fresh) parent,
 // splicing it over the shared original in parent's child list. A child
-// that is already fresh is returned as is.
+// the transaction already owns is returned as is.
 func (w *COW) freshChild(parent, child *xmldb.Node) *xmldb.Node {
-	if w.fresh[child] {
+	if w.owns(child) {
 		return child
 	}
 	c := cowCopy(child, parent)
@@ -137,7 +159,9 @@ func (w *COW) freshChild(parent, child *xmldb.Node) *xmldb.Node {
 // version) as fresh and returns it. A brand-new node always changes the
 // tree shape, so the transaction is structurally dirty from here on.
 func (w *COW) adopt(n *xmldb.Node) *xmldb.Node {
-	w.fresh[n] = true
+	if !w.inPlace {
+		w.fresh[n] = true
+	}
 	w.dirty = true
 	return n
 }
@@ -147,27 +171,16 @@ func (w *COW) adopt(n *xmldb.Node) *xmldb.Node {
 // own name, attributes, text and child list, but must not write through
 // its child pointers (those subtrees are shared); use FreshChild, AddChild
 // and RemoveChild for structural edits.
-func (w *COW) Touch(p xmldb.IDPath) (*xmldb.Node, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("fragment: empty id path")
-	}
-	cur := w.out.Root
-	if cur.Name != p[0].Name || (p[0].ID != "" && cur.ID() != p[0].ID) {
-		return nil, fmt.Errorf("fragment: path %s does not match store root %s[@id=%q]",
-			p, cur.Name, cur.ID())
-	}
-	for _, st := range p[1:] {
-		next := cur.Child(st.Name, st.ID)
-		if next == nil {
-			return nil, fmt.Errorf("fragment: %s not present", p)
-		}
-		cur = w.freshChild(cur, next)
-	}
-	return cur, nil
-}
+func (w *COW) Touch(p xmldb.IDPath) (*xmldb.Node, error) { return w.spine(p, false) }
 
-// ensurePath is Touch plus stub creation, mirroring Store.ensurePath.
-func (w *COW) ensurePath(p xmldb.IDPath) (*xmldb.Node, error) {
+// ensurePath is Touch plus stub creation: missing steps become incomplete
+// stubs, and the node at p is returned.
+func (w *COW) ensurePath(p xmldb.IDPath) (*xmldb.Node, error) { return w.spine(p, true) }
+
+// spine makes every node on the path from the root down to p writable and
+// returns the last one. A missing step is an error unless create is set,
+// in which case it becomes an incomplete stub.
+func (w *COW) spine(p xmldb.IDPath, create bool) (*xmldb.Node, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("fragment: empty id path")
 	}
@@ -178,12 +191,15 @@ func (w *COW) ensurePath(p xmldb.IDPath) (*xmldb.Node, error) {
 	}
 	for _, st := range p[1:] {
 		next := cur.Child(st.Name, st.ID)
-		if next == nil {
+		switch {
+		case next != nil:
+			next = w.freshChild(cur, next)
+		case !create:
+			return nil, fmt.Errorf("fragment: %s not present", p)
+		default:
 			next = cur.AddChild(w.adopt(xmldb.NewElem(st.Name, st.ID)))
 			SetStatus(next, StatusIncomplete)
 			w.out.addNodes(1)
-		} else {
-			next = w.freshChild(cur, next)
 		}
 		cur = next
 	}
@@ -194,7 +210,7 @@ func (w *COW) ensurePath(p xmldb.IDPath) (*xmldb.Node, error) {
 // from this transaction, for callers that need to edit below a touched
 // node (e.g. rewriting a non-IDable field child during a sensor update).
 func (w *COW) FreshChild(parent, child *xmldb.Node) *xmldb.Node {
-	if !w.fresh[parent] {
+	if !w.owns(parent) {
 		panic("fragment: COW.FreshChild on a node not owned by the transaction")
 	}
 	return w.freshChild(parent, child)
@@ -203,7 +219,7 @@ func (w *COW) FreshChild(parent, child *xmldb.Node) *xmldb.Node {
 // AddChild appends a newly created node under a fresh parent and accounts
 // for its subtree in the version's node count.
 func (w *COW) AddChild(parent, c *xmldb.Node) *xmldb.Node {
-	if !w.fresh[parent] {
+	if !w.owns(parent) {
 		panic("fragment: COW.AddChild on a node not owned by the transaction")
 	}
 	parent.AddChild(w.adopt(c))
@@ -220,7 +236,7 @@ func (w *COW) AddChild(parent, c *xmldb.Node) *xmldb.Node {
 // child's Parent pointer (the subtree may still be live in older
 // versions). It reports whether the child was present.
 func (w *COW) RemoveChild(parent, child *xmldb.Node) bool {
-	if !w.fresh[parent] {
+	if !w.owns(parent) {
 		panic("fragment: COW.RemoveChild on a node not owned by the transaction")
 	}
 	for i, ch := range parent.Children {
@@ -313,9 +329,16 @@ func (w *COW) SetTimestampAt(p xmldb.IDPath, ts float64) error {
 	return nil
 }
 
-// MergeFragment is Store.MergeFragment on the transaction: it merges an
-// incoming C1/C2 fragment, path-copying exactly the nodes the merge
-// touches. Validation happens before any edit, so a rejected fragment
+// MergeFragment merges an incoming fragment (an answer or cache-fill
+// produced by another site) into the version. The fragment must be rooted
+// at the document root and satisfy the cache conditions C1 and C2; every
+// IDable node in it carries a status attribute saying what the fragment
+// holds for that node (complete, id-complete or incomplete). Statuses are
+// only ever upgraded, except that a complete node's local info is
+// refreshed when the incoming copy is at least as new (the paper's
+// replace-on-fresh-copy policy). Owned data is never overwritten by a
+// merge. In copy mode exactly the nodes the merge touches are
+// path-copied. Validation happens before any edit, so a rejected fragment
 // leaves the transaction unchanged.
 func (w *COW) MergeFragment(frag *xmldb.Node) error {
 	if err := ValidateFragment(frag); err != nil {
@@ -330,7 +353,7 @@ func (w *COW) MergeFragment(frag *xmldb.Node) error {
 	return nil
 }
 
-// mergeNode mirrors Store.mergeNode; dst is always fresh.
+// mergeNode merges src into dst, which the transaction owns.
 func (w *COW) mergeNode(dst, src *xmldb.Node) {
 	srcStatus := StatusOf(src)
 	dstStatus := StatusOf(dst)
@@ -376,10 +399,11 @@ func (w *COW) mergeNode(dst, src *xmldb.Node) {
 	}
 }
 
-// applyLocalInfo mirrors Store.applyLocalInfo on a fresh node. Kept IDable
-// children remain shared with the previous version and are NOT re-parented
-// — their Parent pointers stay in the version they were created in, which
-// is safe because old versions are immutable (see the package comment).
+// applyLocalInfo overwrites the owned node n's local-information unit
+// from the detached fragment info and sets its status. Kept IDable
+// children the transaction does not own remain shared with the previous
+// version and are NOT re-parented: their Parent pointers stay in the
+// version they were created in (see the package comment).
 func (w *COW) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
 	// Rebuilds n's attribute and child lists wholesale (and may change its
 	// status), so the shape the index recorded no longer holds.
@@ -421,7 +445,7 @@ func (w *COW) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
 		}
 		key := c.Name + "\x00" + c.ID()
 		if old, ok := keep[key]; ok {
-			if w.fresh[old] {
+			if w.owns(old) {
 				old.Parent = n
 			}
 			n.Children = append(n.Children, old)
@@ -447,6 +471,43 @@ func (w *COW) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
 	}
 }
 
+// installLocalInfo is Store.InstallLocalInfo on the transaction.
+func (w *COW) installLocalInfo(p xmldb.IDPath, info *xmldb.Node, st Status) error {
+	if !st.HasLocalInfo() {
+		return fmt.Errorf("fragment: InstallLocalInfo with status %v", st)
+	}
+	n, err := w.ensurePath(p)
+	if err != nil {
+		return err
+	}
+	if len(p) > 1 && !StatusOf(n.Parent).HasLocalIDInfo() && n.Parent.Parent != nil {
+		return fmt.Errorf("fragment: I2 violation: parent of %s lacks local ID info", p)
+	}
+	w.applyLocalInfo(n, info, st)
+	return nil
+}
+
+// installLocalIDInfo is Store.InstallLocalIDInfo on the transaction.
+func (w *COW) installLocalIDInfo(p xmldb.IDPath, info *xmldb.Node) error {
+	n, err := w.ensurePath(p)
+	if err != nil {
+		return err
+	}
+	for _, c := range info.Children {
+		if c.ID() == "" {
+			return fmt.Errorf("fragment: local ID info for %s contains non-IDable child <%s>", p, c.Name)
+		}
+	}
+	w.unionChildStubs(n, info)
+	if !StatusOf(n).HasLocalIDInfo() {
+		SetStatus(n, StatusIDComplete)
+		w.dirty = true
+	}
+	return nil
+}
+
+// unionChildStubs adds an incomplete stub under dst for every IDable child
+// of src that dst lacks.
 func (w *COW) unionChildStubs(dst, src *xmldb.Node) {
 	for _, sc := range src.Children {
 		if sc.ID() == "" {
@@ -460,13 +521,16 @@ func (w *COW) unionChildStubs(dst, src *xmldb.Node) {
 	}
 }
 
-// EvictLocalInfo mirrors Store.EvictLocalInfo: downgrade a cached node
-// from complete to id-complete, dropping its local-information unit.
+// EvictLocalInfo downgrades a cached node from complete to id-complete,
+// removing the local-information unit (attributes other than id, text, and
+// the non-IDable children) while keeping the IDable child stubs and their
+// subtrees. Owned nodes cannot be evicted (invariant I1).
 func (w *COW) EvictLocalInfo(p xmldb.IDPath) error {
-	if w.nodeAt(p) == nil {
+	probe := w.nodeAt(p)
+	if probe == nil {
 		return fmt.Errorf("fragment: evict: %s not present", p)
 	}
-	st := StatusOf(w.nodeAt(p))
+	st := StatusOf(probe)
 	if st == StatusOwned {
 		return fmt.Errorf("fragment: evict: %s is owned (I1 forbids eviction)", p)
 	}
@@ -482,13 +546,7 @@ func (w *COW) EvictLocalInfo(p xmldb.IDPath) error {
 	if w.out.cachedBytesKnown() {
 		w.out.addCachedBytes(-LocalInfoBytes(n))
 	}
-	id := n.ID()
-	n.Attrs = nil
-	if id != "" {
-		n.SetAttr(xmldb.AttrID, id)
-	}
-	n.Text = ""
-	SetStatus(n, StatusIDComplete)
+	clearToID(n, StatusIDComplete)
 	var kids []*xmldb.Node
 	for _, c := range n.Children {
 		if c.ID() != "" {
@@ -501,9 +559,9 @@ func (w *COW) EvictLocalInfo(p xmldb.IDPath) error {
 	return nil
 }
 
-// EvictSubtree mirrors Store.EvictSubtree: drop everything below p,
-// downgrading it to a bare incomplete stub. Fails when the subtree
-// contains owned data.
+// EvictSubtree removes everything stored for the node at p except its
+// bare ID, downgrading it to incomplete. It fails for the document root
+// and when the node or any descendant is owned by this site.
 func (w *COW) EvictSubtree(p xmldb.IDPath) error {
 	probe := w.nodeAt(p)
 	if probe == nil {
@@ -534,15 +592,21 @@ func (w *COW) EvictSubtree(p xmldb.IDPath) error {
 	if w.out.cachedBytesKnown() {
 		w.out.addCachedBytes(-cachedBytesIn(n))
 	}
+	clearToID(n, StatusIncomplete)
+	n.Children = nil
+	return nil
+}
+
+// clearToID drops n's attributes other than its id, and its text, and
+// sets its status to st.
+func clearToID(n *xmldb.Node, st Status) {
 	id := n.ID()
 	n.Attrs = nil
 	if id != "" {
 		n.SetAttr(xmldb.AttrID, id)
 	}
 	n.Text = ""
-	n.Children = nil
-	SetStatus(n, StatusIncomplete)
-	return nil
+	SetStatus(n, st)
 }
 
 // nodeAt reads the node at p in the in-progress version without freshening

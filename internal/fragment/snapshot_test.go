@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"irisnet/internal/xmldb"
@@ -178,6 +179,239 @@ func TestCOWMergeMatchesMutableMerge(t *testing.T) {
 	if errs := CheckInvariants(next, ref, owned, false); len(errs) > 0 {
 		t.Fatalf("invariants after COW merge: %v", errs)
 	}
+
+	// Seeded write sequences run once in place and once as one
+	// copy-on-write transaction per step must stay byte-identical.
+	for seed := int64(1); seed <= 25; seed++ {
+		checkWriteModesAgree(t, seed)
+	}
+}
+
+// checkWriteModesAgree drives a seeded sequence of local-info installs,
+// merges (fresh, stale-timestamp and owned-target) and evictions through
+// the in-place mode on a private store and through Begin/Commit on sealed
+// versions. After every step both trees must serialize identically, and
+// their node counts and cached-byte accounts must agree with each other
+// and with a fresh walk. Each step's outcome is also checked on its own
+// terms, so a defect shared by both modes still fails: the step's expected
+// effect (or refusal) on the target node, invariants I1/I2 against the
+// document, and owned data equal to the document. No sealed version may
+// change afterwards.
+func checkWriteModesAgree(t *testing.T, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	doc := buildDoc()
+	// The site owns city a; the rest of the document is someone else's, so
+	// city b arrives only through installs and merges.
+	assign := NewAssignment("other")
+	assign.Assign(spath("city", "a"), "site")
+	stores, ownedBy, err := Partition(doc, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := ownedBy["site"]
+	ownedSet := map[string]bool{}
+	for _, q := range owned {
+		ownedSet[q.Key()] = true
+	}
+	refStores, _, err := Partition(doc, NewAssignment("ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := refStores["ref"]
+	var paths []xmldb.IDPath
+	ref.Root.Walk(func(n *xmldb.Node) bool {
+		if p, ok := xmldb.IDPathOf(n); ok && n.ID() != "" {
+			paths = append(paths, p)
+		}
+		return true
+	})
+
+	cur := stores["site"]
+	cur.CachedBytes() // seed the incremental account
+	inPlace := cur.Clone()
+	cur.Seal()
+	versions := []*Store{cur}
+	printed := []string{cur.Root.String()}
+
+	for step := 0; step < 40; step++ {
+		p := paths[r.Intn(len(paths))]
+		var op func(w *COW) error
+		// check judges the step from the version before it, the version
+		// after it and the error it returned.
+		var check func(before, after *xmldb.Node, err error) error
+		var desc string
+		switch r.Intn(4) {
+		case 0:
+			// Install a local-information unit after its ancestors' local
+			// ID information, as a fragment builder does: an owner refresh
+			// of the document's own unit on owned targets, a field-edited
+			// cached copy elsewhere.
+			info := LocalInfo(ref.NodeAt(p))
+			st := StatusOwned
+			if !ownedSet[p.Key()] {
+				st = StatusComplete
+				if av := info.ChildNamed("available"); av != nil {
+					av.Text = fmt.Sprint("install-", step)
+				}
+			}
+			desc = "install " + p.String()
+			op = func(w *COW) error {
+				for i := 1; i < len(p); i++ {
+					if err := w.installLocalIDInfo(p[:i], LocalIDInfo(ref.NodeAt(p[:i]))); err != nil {
+						return err
+					}
+				}
+				return w.installLocalInfo(p, info, st)
+			}
+			check = func(_, after *xmldb.Node, err error) error {
+				if err != nil {
+					return err
+				}
+				if n := after; StatusOf(n) != st || !xmldb.Equal(LocalInfo(n), info) {
+					return fmt.Errorf("installed node is %v %s, want %v %s", StatusOf(n), LocalInfo(n), st, info)
+				}
+				return nil
+			}
+		case 1:
+			// Merge a cached copy with a small random timestamp, so later
+			// merges are often stale; targets under city a are owned.
+			d, err := BuildDelta(ref, []xmldb.IDPath{p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := d.NodeAt(p)
+			ts := float64(r.Intn(5))
+			SetTimestamp(n, ts)
+			if av := n.ChildNamed("available"); av != nil {
+				av.Text = fmt.Sprint("merge-", step)
+			}
+			incoming := LocalInfo(n)
+			desc = "merge " + p.String()
+			op = func(w *COW) error { return w.MergeFragment(d.Root) }
+			check = func(before, after *xmldb.Node, err error) error {
+				if err != nil {
+					return err
+				}
+				keep := false
+				if before != nil {
+					switch StatusOf(before) {
+					case StatusOwned:
+						keep = true
+					case StatusComplete:
+						old, ok := Timestamp(before)
+						keep = ok && ts < old
+					}
+				}
+				if keep {
+					if StatusOf(after) != StatusOf(before) || !xmldb.Equal(LocalInfo(after), LocalInfo(before)) {
+						return fmt.Errorf("merge at ts %v overwrote %v node %s with %v %s",
+							ts, StatusOf(before), LocalInfo(before), StatusOf(after), LocalInfo(after))
+					}
+					return nil
+				}
+				if StatusOf(after) != StatusComplete || !xmldb.Equal(LocalInfo(after), incoming) {
+					return fmt.Errorf("fresh merge left %v %s, want complete %s", StatusOf(after), LocalInfo(after), incoming)
+				}
+				return nil
+			}
+		case 2:
+			desc = "evict-local-info " + p.String()
+			op = func(w *COW) error { return w.EvictLocalInfo(p) }
+			check = func(before, after *xmldb.Node, err error) error {
+				if before == nil || StatusOf(before) != StatusComplete {
+					if err == nil {
+						return fmt.Errorf("evicting a node that is not cached-complete succeeded")
+					}
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				if StatusOf(after) != StatusIDComplete || !bareOfLocalInfo(after) ||
+					!xmldb.Equal(LocalIDInfo(after), LocalIDInfo(before)) {
+					return fmt.Errorf("evicted node is %v %s, want id-complete %s", StatusOf(after), after, LocalIDInfo(before))
+				}
+				return nil
+			}
+		default:
+			desc = "evict-subtree " + p.String()
+			op = func(w *COW) error { return w.EvictSubtree(p) }
+			check = func(before, after *xmldb.Node, err error) error {
+				holdsOwned := false
+				for _, q := range owned {
+					holdsOwned = holdsOwned || p.IsPrefixOf(q)
+				}
+				if before == nil || len(p) == 1 || holdsOwned {
+					if err == nil {
+						return fmt.Errorf("evicting the root, a missing node or owned data succeeded")
+					}
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				if StatusOf(after) != StatusIncomplete || len(after.Children) != 0 || !bareOfLocalInfo(after) {
+					return fmt.Errorf("evicted subtree is %v %s, want a bare stub", StatusOf(after), after)
+				}
+				return nil
+			}
+		}
+
+		prev := cur
+		errInPlace := op(inPlace.edit())
+		w := cur.Begin()
+		errCOW := op(w)
+		cur = w.Commit()
+		versions = append(versions, cur)
+		printed = append(printed, cur.Root.String())
+
+		label := fmt.Sprintf("seed %d step %d (%s)", seed, step, desc)
+		if (errInPlace == nil) != (errCOW == nil) {
+			t.Fatalf("%s: in place err=%v, copy-on-write err=%v", label, errInPlace, errCOW)
+		}
+		if !xmldb.Equal(inPlace.Root, cur.Root) || inPlace.Root.String() != cur.Root.String() {
+			t.Fatalf("%s: modes differ:\n%s\nvs\n%s", label, inPlace.Root.Indented(), cur.Root.Indented())
+		}
+		if a, b, walk := inPlace.Size(), cur.Size(), cur.Root.CountNodes(); a != b || b != walk {
+			t.Fatalf("%s: Size in place %d, copy-on-write %d, walk %d", label, a, b, walk)
+		}
+		if a, b, walk := inPlace.CachedBytes(), cur.CachedBytes(), cachedBytesIn(cur.Root); a != b || b != walk {
+			t.Fatalf("%s: CachedBytes in place %d, copy-on-write %d, walk %d", label, a, b, walk)
+		}
+		if err := check(prev.NodeAt(p), cur.NodeAt(p), errCOW); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if errs := CheckInvariants(cur, doc, owned, false); len(errs) > 0 {
+			t.Fatalf("%s: invariants: %v", label, errs)
+		}
+		for _, q := range owned {
+			if got, want := LocalInfo(cur.NodeAt(q)), LocalInfo(xmldb.FindByIDPath(doc, q)); !xmldb.Equal(got, want) {
+				t.Fatalf("%s: owned node %s is %s, document has %s", label, q, got, want)
+			}
+		}
+	}
+	for i, v := range versions {
+		if got := v.Root.String(); got != printed[i] {
+			t.Fatalf("seed %d: sealed version %d changed after later transactions", seed, i)
+		}
+	}
+}
+
+// bareOfLocalInfo reports whether n keeps nothing of a local-information
+// unit: no text, no attribute but its id and status, no non-IDable child.
+func bareOfLocalInfo(n *xmldb.Node) bool {
+	for _, a := range n.Attrs {
+		if a.Name != xmldb.AttrID && a.Name != xmldb.AttrStatus {
+			return false
+		}
+	}
+	for _, c := range n.Children {
+		if c.ID() == "" {
+			return false
+		}
+	}
+	return n.Text == ""
 }
 
 func TestCOWMergeValidationLeavesVersionClean(t *testing.T) {
@@ -288,13 +522,17 @@ func TestSizeAccountingAcrossMutators(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("mark-unreachable")
-	if err := s.EvictLocalInfo(spath("city", "a")); err != nil {
+	w := s.Begin()
+	if err := w.EvictLocalInfo(spath("city", "a")); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	check("evict-local-info")
-	if err := s.EvictSubtree(spath("city", "a")); err != nil {
+	w = s.Begin()
+	if err := w.EvictSubtree(spath("city", "a")); err != nil {
 		t.Fatal(err)
 	}
+	s = w.Commit()
 	check("evict-subtree")
 }
 

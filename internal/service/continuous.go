@@ -94,8 +94,10 @@ func (f *Frontend) WatchQuery(query string, interval time.Duration) (*Watch, err
 	ch := make(chan Change, 1)
 	w := &Watch{C: ch, stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
-		defer close(w.done)
+		// Deferred calls run last-in first-out: done closes before C, so a
+		// consumer that sees C closed always finds the terminal error.
 		defer close(ch)
+		defer close(w.done)
 		// baseline is the answer set the consumer has seen (delivered and
 		// read); pending is the set encoded in a sent-but-possibly-unread
 		// change, nil when nothing is in flight.

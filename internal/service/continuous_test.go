@@ -1,6 +1,7 @@
 package service
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +294,37 @@ func TestWatchQueryFailureBudgetExhausted(t *testing.T) {
 			}
 		case <-deadline:
 			t.Fatal("watch did not terminate after budget exhaustion")
+		}
+	}
+}
+
+// TestWatchQueryErrSetWhenChannelCloses is the ordering regression test: a
+// consumer that sees C closed and immediately calls Err must get the
+// terminal error. The poller used to close C before done, leaving a window
+// in which Err still reported nil; the loop makes that window likely to be
+// hit if the order ever regresses.
+func TestWatchQueryErrSetWhenChannelCloses(t *testing.T) {
+	fe, db, _, _, net := deploy(t)
+	fe.WatchFailureBudget = 1
+	net.Unregister("nb-" + workload.CityName(0) + "-" + workload.NeighborhoodName(0))
+	q := db.BlockQuery(0, 0, 0)
+	for i := 0; i < 2000; i++ {
+		w, err := fe.WatchQuery(q, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Poll rather than block: a blocked receiver is woken on the
+		// closing goroutine's processor and tends to run only after the
+		// poller has exited, hiding the window.
+		for open := true; open; {
+			select {
+			case _, open = <-w.C:
+			default:
+				runtime.Gosched()
+			}
+		}
+		if w.Err() == nil {
+			t.Fatalf("run %d: C closed but Err() is nil", i)
 		}
 	}
 }

@@ -131,7 +131,7 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 		if snap == nil {
 			snap = s.state.Load().store
 		}
-		opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, NoIndex: s.cfg.DisableIndex}
+		opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass}
 		if !s.cfg.DisableFreshnessLedger {
 			h.prov = *qeg.NewProvenance(now)
 			opts.Prov = &h.prov

@@ -173,7 +173,7 @@ func errSpan(traceID, site, query string, err error) *trace.Span {
 //     tight deadline cannot poison its followers.
 //
 //   - Batching: subqueries bound for the same owner site ship as one
-//     KindBatch message (split by cfg.BatchByteCap) instead of N separate
+//     KindBatch message (split by cfg.batchByteCap) instead of N separate
 //     round trips, sharing one deadline, one retry budget and one span.
 //
 // Metrics: Subqueries counts subqueries actually sent upstream, SubqueryRPCs
@@ -260,7 +260,7 @@ func (d *dispatcher[T]) dispatch(ctx context.Context, fresh []qeg.Subquery, trac
 				single(group[0])
 				continue
 			}
-			for _, piece := range splitByByteCap(group, s.cfg.BatchByteCap) {
+			for _, piece := range splitByByteCap(group, s.cfg.batchByteCap) {
 				if len(piece) == 1 {
 					// A piece collapses to one entry when that entry alone
 					// exceeds the byte cap (or the cap leaves a remainder of

@@ -254,7 +254,7 @@ func TestBatchSplittingByteIdenticalAnswer(t *testing.T) {
 	}
 
 	whole, wholeFrag := run(nil)
-	split, splitFrag := run(func(c *Config) { c.BatchByteCap = 1 })
+	split, splitFrag := run(func(c *Config) { c.batchByteCap = 1 })
 	_, plainFrag := run(func(c *Config) { c.DisableBatching = true })
 
 	if wholeFrag != splitFrag {

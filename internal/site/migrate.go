@@ -44,25 +44,13 @@ func (s *Site) Delegate(path xmldb.IDPath, newOwner string) error {
 	}
 	transfer := ownedUnder(st.owned, path)
 
-	// Build the transfer fragment: ancestors' local ID information plus the
-	// local information of every transferred node (exactly the data the new
-	// owner must hold to satisfy I1/I2). Reads go against the published
-	// (immutable) version.
-	frag := fragment.NewStore(st.store.Root.Name, st.store.Root.ID())
-	for _, p := range transfer {
-		for i := 1; i < len(p); i++ {
-			anc := st.store.NodeAt(p[:i])
-			if anc == nil {
-				return fmt.Errorf("site %s: ancestor %s missing (I2 violation)", s.cfg.Name, p[:i])
-			}
-			if err := frag.InstallLocalIDInfo(p[:i].Clone(), fragment.LocalIDInfo(anc)); err != nil {
-				return err
-			}
-		}
-		n := st.store.NodeAt(p)
-		if err := frag.InstallLocalInfo(p, fragment.LocalInfo(n), fragment.StatusComplete); err != nil {
-			return err
-		}
+	// The transfer fragment carries the ancestors' local ID information
+	// plus the local information of every transferred node: exactly the
+	// data the new owner must hold to satisfy I1/I2. It is read from the
+	// published (immutable) version.
+	frag, err := fragment.BuildDelta(st.store, transfer)
+	if err != nil {
+		return fmt.Errorf("site %s: %w", s.cfg.Name, err)
 	}
 
 	keys := make([]string, len(transfer))

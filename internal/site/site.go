@@ -43,10 +43,6 @@ type Config struct {
 	// Caching is set. It implements the Section 5.5 bypass suggestion and
 	// the "caching with no hits" condition of Figure 10.
 	CacheBypass bool
-	// DisableIndex turns off the cache-conscious fragment index fast path,
-	// forcing every local evaluation through the tree walker. It exists as
-	// the baseline arm of irisbench -exp local-eval and as an escape hatch.
-	DisableIndex bool
 	// NaivePlans selects the unoptimized per-query XSLT generation path
 	// (Figure 11's "naive XSLT creation").
 	NaivePlans bool
@@ -86,10 +82,11 @@ type Config struct {
 	// false in production, where a query fanning out to N subtrees owned by
 	// one site pays one round trip instead of N.
 	DisableBatching bool
-	// BatchByteCap caps the encoded payload size of one KindBatch message;
+	// batchByteCap caps the encoded payload size of one KindBatch message;
 	// destination groups whose entries exceed it are split into several
-	// batch messages. Zero uses DefaultBatchByteCap.
-	BatchByteCap int
+	// batch messages. Zero uses DefaultBatchByteCap, the only value outside
+	// this package's split tests.
+	batchByteCap int
 	// DisableCoalescing turns off single-flight deduplication of identical
 	// in-flight subqueries at caching sites (see dispatch.go). Only
 	// meaningful when Caching is set: coalescing never runs without it.
@@ -348,8 +345,8 @@ func New(cfg Config, rootName, rootID string) *Site {
 		cfg.Logger = slog.New(noopHandler{})
 	}
 	cfg.Logger = cfg.Logger.With("site", cfg.Name)
-	if cfg.BatchByteCap <= 0 {
-		cfg.BatchByteCap = DefaultBatchByteCap
+	if cfg.batchByteCap <= 0 {
+		cfg.batchByteCap = DefaultBatchByteCap
 	}
 	s := &Site{
 		cfg:          cfg,
@@ -655,7 +652,7 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 
 	// Staleness ledger: Gather merges into it exactly the evaluation rounds
 	// whose local result joins the answer.
-	opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, NoIndex: s.cfg.DisableIndex}
+	opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass}
 	if !s.cfg.DisableFreshnessLedger {
 		h.prov = *qeg.NewProvenance(s.cfg.Clock())
 		opts.Prov = &h.prov
